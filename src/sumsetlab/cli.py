@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .groups import finite_set, group_density, make_group, sumset
+from .groups import finite_set, frac_str, group_density, make_group, sumset
 from .magnification import mag_ratio, mag_ratio_delta, mag_ratio_oracle
 from .orbits import verify_correspondence
 from .spectral import equidist_defect, floor_three_halves, weyl_defect_window
@@ -73,10 +73,6 @@ def _parse_frac(text: str) -> Fraction:
         raise ValueError(f"not a rational p/q: {text!r}") from None
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _read_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -85,7 +81,7 @@ def _read_json(path: str) -> dict:
 def _zdesc_from_args(args) -> "ZSetDesc":
     if getattr(args, "desc", None):
         return zset_from_json(_read_json(args.desc))
-    if getattr(args, "period", None):
+    if getattr(args, "period", None) is not None:
         if args.pattern is None:
             raise ValueError("--period requires --pattern")
         return periodic(args.period, _parse_ints(args.pattern))
@@ -101,8 +97,8 @@ def cmd_sumset(args) -> int:
         result = zsumset(zset_from_json(_read_json(args.zdesc_a)),
                          zset_from_json(_read_json(args.zdesc_b)))
         print(json.dumps(zset_to_json(result), sort_keys=True))
-        print(f"upper density: {_frac(banach_upper(result))}")
-        print(f"lower density: {_frac(banach_lower(result))}")
+        print(f"upper density: {frac_str(banach_upper(result))}")
+        print(f"lower density: {frac_str(banach_lower(result))}")
         return 0
     if args.group is None or args.A is None or args.B is None:
         raise ValueError("group mode needs --group, --A and --B")
@@ -111,10 +107,10 @@ def cmd_sumset(args) -> int:
                     finite_set(group, _parse_ints(args.B)))
     print("sumset: {" + ", ".join(str(x) for x in result.indices()) + "}")
     print(f"cardinality: {result.size}")
-    print(f"density: {_frac(group_density(result))}")
+    print(f"density: {frac_str(group_density(result))}")
     if args.json:
         print(json.dumps({"group": list(group.orders), "set": result.to_json(),
-                          "density": _frac(group_density(result))}, sort_keys=True))
+                          "density": frac_str(group_density(result))}, sort_keys=True))
     return 0
 
 
@@ -124,11 +120,11 @@ def cmd_density(args) -> int:
             raise ValueError("group mode needs --A")
         group = make_group(_parse_ints(args.group))
         A = finite_set(group, _parse_ints(args.A))
-        print(f"density: {_frac(group_density(A))}")
+        print(f"density: {frac_str(group_density(A))}")
         return 0
     S = _zdesc_from_args(args)
-    print(f"upper: {_frac(banach_upper(S))}")
-    print(f"lower: {_frac(banach_lower(S))}")
+    print(f"upper: {frac_str(banach_upper(S))}")
+    print(f"lower: {frac_str(banach_lower(S))}")
     return 0
 
 
@@ -149,11 +145,11 @@ def cmd_magratio(args) -> int:
     if args.oracle and args.delta is None:
         brute = mag_ratio_oracle(system, A, B)
         if brute.value != result.value:
-            print(f"MISMATCH: flow {_frac(result.value)} != oracle {_frac(brute.value)}")
+            print(f"MISMATCH: flow {frac_str(result.value)} != oracle {frac_str(brute.value)}")
             status = 1
         else:
-            print(f"oracle agrees: {_frac(brute.value)}")
-    print(f"{_frac(result.value)}, witness {list(result.witness.indices())}, "
+            print(f"oracle agrees: {frac_str(brute.value)}")
+    print(f"{frac_str(result.value)}, witness {list(result.witness.indices())}, "
           f"method {result.method}")
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
@@ -194,7 +190,7 @@ def cmd_correspond(args) -> int:
     report = verify_correspondence(S, _parse_ints(args.A))
     for rel in report.relations:
         mark = "ok " if rel.holds else "FAIL"
-        print(f"[{mark}] {rel.name}: {_frac(rel.lhs)} {rel.op} {_frac(rel.rhs)}")
+        print(f"[{mark}] {rel.name}: {frac_str(rel.lhs)} {rel.op} {frac_str(rel.rhs)}")
     if report.degenerate:
         print("note: descriptor is finite, its orbit closure is the fixed point")
     if args.json:

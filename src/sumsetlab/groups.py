@@ -23,6 +23,7 @@ __all__ = [
     "GroupSpec",
     "FiniteSet",
     "bit_indices",
+    "frac_str",
     "make_group",
     "finite_set",
     "full_set",
@@ -40,6 +41,12 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def frac_str(x: Fraction | int) -> str:
+    """An exact rational as "p/q" in lowest terms, integers as "n/1"."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)

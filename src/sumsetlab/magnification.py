@@ -13,8 +13,12 @@ single s-t minimum cut on the bipartite network
     b -> x        capacity infinity
     x -> sink     capacity mu(x)
 
-with every capacity scaled to one common integer denominator, so the flow
-computation runs on exact integers; no floating point enters this module.
+With t = p/q in lowest terms and the system's integer weights W over their
+common denominator D (mu(x) = W(x)/D), every capacity is an integer over
+the one scale q*D: profit p*W(b), cost q*W(x).  The flow computation runs
+on exact integers; no floating point enters this module.  The arcs are the
+masks A.{b} from ``systems.cover_masks``, whose element permutations are
+generator powers raised by repeated squaring.
 A Dinkelbach outer loop drives the parameter t: starting from the ratio of
 B itself, each cut either certifies that no subset beats t (parametric
 minimum exactly zero) or returns the minimal closure, a subset of strictly
@@ -31,12 +35,11 @@ to the plain ratio, so no separate operation is exposed for that variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteSet, bit_indices
-from .systems import ActionSystem, StateSubset, apply_set, state_subset
+from .groups import FiniteSet, bit_indices, frac_str
+from .systems import ActionSystem, StateSubset, apply_set, cover_masks, state_subset
 
 __all__ = [
     "MagnificationResult",
@@ -60,7 +63,7 @@ class MagnificationResult:
 
     def to_json(self) -> dict:
         return {
-            "value": f"{self.value.numerator}/{self.value.denominator}",
+            "value": frac_str(self.value),
             "witness": self.witness.to_json(),
             "method": self.method,
             "nodes": self.nodes,
@@ -137,51 +140,35 @@ class _Dinic:
         return seen
 
 
-def _candidates(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> list[int]:
-    if A.group != sys.group:
-        raise ValueError("acting set lives in a different group")
-    if A.mask == 0:
-        raise ValueError("acting set must be non-empty")
-    if B.system is not sys and B.system != sys:
-        raise ValueError("subset belongs to a different system")
-    cand = [x for x in bit_indices(B.mask) if sys.weights[x] > 0]
-    if not cand:
+def _candidates(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, int]:
+    """A.{b} for every positive-measure state b of B, in ascending order of b."""
+    support = sys.support_mask
+    covers = {b: mask for b, mask in cover_masks(sys, A, B).items() if support >> b & 1}
+    if not covers:
         raise ValueError("B has measure zero; no ratio is defined")
-    return cand
-
-
-def _covers(sys: ActionSystem, A: FiniteSet, cand: list[int]) -> dict[int, int]:
-    out = {}
-    for b in cand:
-        mask = 0
-        for a in A:
-            mask |= 1 << sys.elem_perm(a)[b]
-        out[b] = mask
-    return out
+    return covers
 
 
 def _parametric_cut(
-    sys: ActionSystem, cand: list[int], covers: dict[int, int], t: Fraction
+    sys: ActionSystem, covers: dict[int, int], t: Fraction
 ) -> tuple[Fraction, list[int], int, int]:
     """Minimize mu(A.S) - t*mu(S) over S; return value and minimal minimizer."""
+    cand = list(covers)
     xs = sorted({x for mask in covers.values() for x in bit_indices(mask)})
-    profits = {b: t * sys.weights[b] for b in cand}
-    costs = {x: sys.weights[x] for x in xs}
-    denom = math.lcm(*[f.denominator for f in profits.values()],
-                     *[f.denominator for f in costs.values()])
-    p_int = {b: int(profits[b] * denom) for b in cand}
-    c_int = {x: int(costs[x] * denom) for x in xs}
-    inf = sum(p_int.values()) + sum(c_int.values()) + 1
+    w = sys.int_weights
+    p, q = t.numerator, t.denominator
+    profit = {b: p * w[b] for b in cand}
+    inf = sum(profit.values()) + sum(q * w[x] for x in xs) + 1
 
     node_of_b = {b: 2 + i for i, b in enumerate(cand)}
     node_of_x = {x: 2 + len(cand) + i for i, x in enumerate(xs)}
     net = _Dinic(2 + len(cand) + len(xs))
     edges = 0
     for b in cand:
-        net.add_edge(0, node_of_b[b], p_int[b])
+        net.add_edge(0, node_of_b[b], profit[b])
         edges += 1
     for x in xs:
-        net.add_edge(node_of_x[x], 1, c_int[x])
+        net.add_edge(node_of_x[x], 1, q * w[x])
         edges += 1
     for b in cand:
         for x in bit_indices(covers[b]):
@@ -189,18 +176,10 @@ def _parametric_cut(
             edges += 1
 
     flow = net.max_flow(0, 1)
-    value = Fraction(flow - sum(p_int.values()), denom)
+    value = Fraction(flow - sum(profit.values()), q * sys.denominator)
     side = net.source_side(0)
     chosen = [b for b in cand if node_of_b[b] in side]
     return value, chosen, net.n, edges
-
-
-def _mu_mask(sys: ActionSystem, mask: int, memo: dict[int, Fraction]) -> Fraction:
-    got = memo.get(mask)
-    if got is None:
-        got = sum((sys.weights[x] for x in bit_indices(mask)), Fraction(0))
-        memo[mask] = got
-    return got
 
 
 def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationResult:
@@ -209,23 +188,20 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
     Returned witness is the final Dinkelbach iterate: a subset of B that
     attains the minimum exactly.
     """
-    cand = _candidates(sys, A, B)
-    covers = _covers(sys, A, cand)
-    memo: dict[int, Fraction] = {}
+    covers = _candidates(sys, A, B)
+    w = sys.int_weights
 
     def ratio(sel: list[int]) -> Fraction:
         cover = 0
-        weight = Fraction(0)
         for b in sel:
             cover |= covers[b]
-            weight += sys.weights[b]
-        return _mu_mask(sys, cover, memo) / weight
+        return Fraction(sys.mass(cover), sum(w[b] for b in sel))
 
-    current = list(cand)
+    current = list(covers)
     t = ratio(current)
     nodes = edges = 0
-    for _round in range(len(cand) + 2):
-        value, chosen, nodes, edges = _parametric_cut(sys, cand, covers, t)
+    for _round in range(len(covers) + 2):
+        value, chosen, nodes, edges = _parametric_cut(sys, covers, t)
         if value == 0:
             return MagnificationResult(
                 value=t,
@@ -241,31 +217,27 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
     raise AssertionError("Dinkelbach loop exceeded the |B| + 2 cut bound")
 
 
-def _scaled_weights(sys: ActionSystem) -> tuple[list[int], int]:
-    denom = math.lcm(*[w.denominator for w in sys.weights])
-    return [int(w * denom) for w in sys.weights], denom
-
-
 def _enumerate_best(
     sys: ActionSystem,
-    cand: list[int],
     covers: dict[int, int],
-    wint: list[int],
     min_weight_scaled: int = 0,
 ) -> tuple[Fraction, int, int] | None:
-    """Scan all non-empty subsets of cand; return (value, witness mask, count).
+    """Scan all non-empty subsets of the candidates; return (value, witness mask, count).
 
-    Ratios are compared by integer cross-multiplication; ties break toward
-    the lexicographically smallest sorted index tuple.  ``min_weight_scaled``
-    filters subsets whose scaled measure is below the bound.
+    The candidates are the keys of ``covers``.  Ratios are compared by
+    integer cross-multiplication; ties break toward the lexicographically
+    smallest sorted index tuple.  ``min_weight_scaled`` filters subsets
+    whose measure, in units of 1/D, is below the bound.
     """
+    cand = list(covers)
+    wint = sys.int_weights
     m = len(cand)
     cover_w: dict[int, int] = {}
 
     def weight_of(mask: int) -> int:
         got = cover_w.get(mask)
         if got is None:
-            got = sum(wint[x] for x in bit_indices(mask))
+            got = sys.mass(mask)
             cover_w[mask] = got
         return got
 
@@ -323,14 +295,12 @@ def mag_ratio_oracle(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> Magnifi
     Guarded at |B ∩ supp(mu)| <= 24.  Returns the lexicographically smallest
     minimizer, so results are reproducible bit for bit.
     """
-    cand = _candidates(sys, A, B)
-    if len(cand) > ORACLE_GUARD:
+    covers = _candidates(sys, A, B)
+    if len(covers) > ORACLE_GUARD:
         raise ValueError(
-            f"enumeration guard exceeded: |B ∩ supp| = {len(cand)} > {ORACLE_GUARD}"
+            f"enumeration guard exceeded: |B ∩ supp| = {len(covers)} > {ORACLE_GUARD}"
         )
-    covers = _covers(sys, A, cand)
-    wint, _ = _scaled_weights(sys)
-    found = _enumerate_best(sys, cand, covers, wint)
+    found = _enumerate_best(sys, covers)
     assert found is not None
     value, witness, examined = found
     return MagnificationResult(
@@ -352,20 +322,18 @@ def mag_ratio_delta(
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    cand = _candidates(sys, A, B)
-    if len(cand) > ORACLE_GUARD:
+    covers = _candidates(sys, A, B)
+    if len(covers) > ORACLE_GUARD:
         raise ValueError(
-            f"enumeration guard exceeded: |B ∩ supp| = {len(cand)} > {ORACLE_GUARD}"
+            f"enumeration guard exceeded: |B ∩ supp| = {len(covers)} > {ORACLE_GUARD}"
         )
-    covers = _covers(sys, A, cand)
-    wint, denom = _scaled_weights(sys)
-    total = sum(wint[b] for b in cand)
+    total = sys.mass(B.mask)
     # mu(S) >= delta * mu(B) in scaled integers: den(delta)*w(S) >= num(delta)*w(B).
     # Rescale so the threshold is a plain integer bound on w(S).
     bound_num = delta.numerator * total
     bound_den = delta.denominator
     threshold = -(-bound_num // bound_den)  # ceil; w(S) is an integer multiple of 1
-    found = _enumerate_best(sys, cand, covers, wint, min_weight_scaled=threshold)
+    found = _enumerate_best(sys, covers, min_weight_scaled=threshold)
     if found is None:
         raise ValueError(f"no subset of B reaches delta * mu(B) for delta = {delta}")
     value, witness, examined = found

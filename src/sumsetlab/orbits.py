@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import finite_set, make_group
+from .groups import finite_set, frac_str, make_group
 from .systems import ActionSystem, StateSubset, apply_set, make_system, measure_of, state_subset
 from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
 
@@ -98,8 +98,8 @@ class CorrespondenceReport:
                 {
                     "name": r.name,
                     "op": r.op,
-                    "lhs": f"{r.lhs.numerator}/{r.lhs.denominator}",
-                    "rhs": f"{r.rhs.numerator}/{r.rhs.denominator}",
+                    "lhs": frac_str(r.lhs),
+                    "rhs": frac_str(r.rhs),
                     "holds": r.holds,
                 }
                 for r in self.relations

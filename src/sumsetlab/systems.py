@@ -2,11 +2,16 @@
 
 A system is a finite state set, one permutation per cyclic generator of the
 acting group, and an exact rational invariant probability measure.  The
-action of an arbitrary element is composed lazily from generator powers and
-memoized.  Validation proves the action is well defined: each generator
-permutation has the order of its factor and all generators commute, which
-is exactly the presentation of the group, so the homomorphism property for
-all pairs follows rather than being spot-checked.
+permutation of an arbitrary element is composed lazily from generator
+powers, each raised by repeated squaring (O(states * log order), no
+recursion), and memoized per element.  Validation proves the action is well
+defined: each generator permutation has the order of its factor and all
+generators commute, which is exactly the presentation of the group, so the
+homomorphism property for all pairs follows rather than being spot-checked.
+
+The measure is kept as integer weights over their least common denominator
+D, so measuring a state set is one integer sum.  Pushing states through a
+finite acting set always goes through ``cover_masks``.
 
 Ergodicity on a finite system reduces to orbit structure: invariance forces
 the measure to be constant on each orbit, so the system is ergodic exactly
@@ -15,11 +20,13 @@ when the support of the measure is a single orbit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
-from .groups import FiniteSet, GroupSpec, bit_indices, iterated_sumset
+from .groups import FiniteSet, GroupSpec, bit_indices, frac_str, iterated_sumset
 
 __all__ = [
     "ActionSystem",
@@ -28,6 +35,8 @@ __all__ = [
     "state_subset",
     "full_states",
     "measure_of",
+    "perm_power",
+    "cover_masks",
     "apply_set",
     "orbits",
     "is_ergodic",
@@ -41,50 +50,64 @@ __all__ = [
 ]
 
 
+def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation x -> outer[inner[x]]."""
+    return tuple(map(outer.__getitem__, inner))
+
+
+def perm_power(perm: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """perm composed with itself d >= 0 times, by repeated squaring."""
+    out = tuple(range(len(perm)))
+    while d:
+        if d & 1:
+            out = _compose(perm, out)
+        d >>= 1
+        if d:
+            perm = _compose(perm, perm)
+    return out
+
+
 @dataclass(frozen=True)
 class ActionSystem:
     group: GroupSpec
     states: int
     generators: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
-    _powers: dict = field(default_factory=dict, compare=False, repr=False)
     _perms: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def _generator_power(self, j: int, d: int) -> tuple[int, ...]:
-        key = (j, d)
-        perm = self._powers.get(key)
-        if perm is None:
-            if d == 0:
-                perm = tuple(range(self.states))
-            else:
-                prev = self._generator_power(j, d - 1)
-                gen = self.generators[j]
-                perm = tuple(gen[x] for x in prev)
-            self._powers[key] = perm
-        return perm
 
     def elem_perm(self, g: int) -> tuple[int, ...]:
         """The permutation of states induced by the group element g."""
         perm = self._perms.get(g)
         if perm is None:
-            out = tuple(range(self.states))
-            for j, d in enumerate(self.group.digits(g)):
+            perm = tuple(range(self.states))
+            for gen, d in zip(self.generators, self.group.digits(g)):
                 if d:
-                    power = self._generator_power(j, d)
-                    out = tuple(power[x] for x in out)
-            self._perms[g] = perm = out
+                    perm = _compose(perm_power(gen, d), perm)
+            self._perms[g] = perm
         return perm
 
     def apply(self, g: int, x: int) -> int:
         return self.elem_perm(g)[x]
 
-    @property
+    @cached_property
+    def denominator(self) -> int:
+        """The least common denominator D of the weights."""
+        return math.lcm(*(w.denominator for w in self.weights))
+
+    @cached_property
+    def int_weights(self) -> tuple[int, ...]:
+        """The weights in units of 1/D: weights[x] == int_weights[x] / D."""
+        D = self.denominator
+        return tuple(w.numerator * (D // w.denominator) for w in self.weights)
+
+    @cached_property
     def support_mask(self) -> int:
-        mask = 0
-        for x, w in enumerate(self.weights):
-            if w > 0:
-                mask |= 1 << x
-        return mask
+        return sum(1 << x for x, w in enumerate(self.int_weights) if w > 0)
+
+    def mass(self, mask: int) -> int:
+        """The measure of a state bitmask in units of 1/D."""
+        w = self.int_weights
+        return sum(w[x] for x in bit_indices(mask))
 
 
 @dataclass(frozen=True)
@@ -136,10 +159,7 @@ def make_system(
         if len(row) != states or sorted(row) != list(ident):
             raise ValueError(f"generator table {j} is not a permutation of the states")
     for j, row in enumerate(tables):
-        power = ident
-        for _ in range(group.orders[j]):
-            power = tuple(row[x] for x in power)
-        if power != ident:
+        if perm_power(row, group.orders[j]) != ident:
             raise ValueError(
                 f"generator table {j} does not have order dividing {group.orders[j]}; "
                 "the action is not a homomorphism"
@@ -179,25 +199,38 @@ def full_states(sys: ActionSystem) -> StateSubset:
     return StateSubset(sys, (1 << sys.states) - 1)
 
 
-def measure_of(sys: ActionSystem, B: StateSubset) -> Fraction:
+def _check_subset(sys: ActionSystem, B: StateSubset) -> None:
     if B.system is not sys and B.system != sys:
         raise ValueError("subset belongs to a different system")
-    return sum((sys.weights[x] for x in bit_indices(B.mask)), Fraction(0))
 
 
-def apply_set(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> StateSubset:
-    """The union of translates A.B = { a.x : a in A, x in B }."""
+def measure_of(sys: ActionSystem, B: StateSubset) -> Fraction:
+    _check_subset(sys, B)
+    return Fraction(sys.mass(B.mask), sys.denominator)
+
+
+def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, int]:
+    """The bitmask of A.{x} for every state x of B, in ascending order of x."""
     if A.group != sys.group:
         raise ValueError("acting set lives in a different group")
     if A.mask == 0:
         raise ValueError("acting set must be non-empty")
-    if B.system is not sys and B.system != sys:
-        raise ValueError("subset belongs to a different system")
+    _check_subset(sys, B)
+    perms = [sys.elem_perm(a) for a in A]
+    out = {}
+    for x in bit_indices(B.mask):
+        mask = 0
+        for perm in perms:
+            mask |= 1 << perm[x]
+        out[x] = mask
+    return out
+
+
+def apply_set(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> StateSubset:
+    """The union of translates A.B = { a.x : a in A, x in B }."""
     out = 0
-    for a in A:
-        perm = sys.elem_perm(a)
-        for x in bit_indices(B.mask):
-            out |= 1 << perm[x]
+    for mask in cover_masks(sys, A, B).values():
+        out |= mask
     return StateSubset(sys, out)
 
 
@@ -224,10 +257,11 @@ def orbits(sys: ActionSystem) -> list[list[int]]:
 
 def is_ergodic(sys: ActionSystem) -> bool:
     """True iff the support of the measure is a single orbit."""
-    support = {x for x in range(sys.states) if sys.weights[x] > 0}
+    support = sys.support_mask
     for orbit in orbits(sys):
-        if support & set(orbit):
-            return support == set(orbit)
+        mask = sum(1 << x for x in orbit)
+        if support & mask:
+            return support == mask
     return False
 
 
@@ -239,18 +273,9 @@ def is_ergodic_set(sys: ActionSystem, A: FiniteSet) -> bool:
     """
     if not is_ergodic(sys):
         raise ValueError("ergodic-set certificates are defined over ergodic systems")
-    if A.group != sys.group:
-        raise ValueError("acting set lives in a different group")
-    if A.mask == 0:
-        raise ValueError("acting set must be non-empty")
     support = sys.support_mask
-    for x in bit_indices(support):
-        hit = 0
-        for a in A:
-            hit |= 1 << sys.elem_perm(a)[x]
-        if support & ~hit:
-            return False
-    return True
+    covers = cover_masks(sys, A, StateSubset(sys, support))
+    return all(not support & ~hit for hit in covers.values())
 
 
 def is_ergodic_basis(sys: ActionSystem, A: FiniteSet, k: int) -> bool:
@@ -313,7 +338,7 @@ def system_to_json(sys: ActionSystem) -> dict:
         "group": sys.group.to_json(),
         "states": sys.states,
         "action": [list(row) for row in sys.generators],
-        "measure": [f"{w.numerator}/{w.denominator}" for w in sys.weights],
+        "measure": [frac_str(w) for w in sys.weights],
     }
 
 

@@ -29,7 +29,9 @@ from typing import Callable, Iterable, Sequence
 
 from .groups import (
     FiniteSet,
+    bit_indices,
     finite_set,
+    frac_str,
     full_set,
     group_density,
     iterated_sumset,
@@ -143,11 +145,6 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class CheckResult:
     check: str
@@ -163,8 +160,8 @@ class CheckResult:
         return {
             "instance_id": self.instance,
             "check": self.check,
-            "lhs": _frac(self.lhs),
-            "rhs": _frac(self.rhs),
+            "lhs": frac_str(self.lhs),
+            "rhs": frac_str(self.rhs),
             "holds": self.holds,
             "vacuous": self.vacuous,
             "note": self.note,
@@ -210,8 +207,8 @@ def check_thm1(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
     mab = measure_of(sys, apply_set(sys, A, B))
     lhs, rhs = mab**k, mb ** (k - 1)
     return CheckResult(name, instance, lhs, rhs, lhs >= rhs,
-                       witness={"mu_AB": _frac(mab), "mu_B": _frac(mb), "k": k,
-                                "ratio": _frac(lhs / rhs)})
+                       witness={"mu_AB": frac_str(mab), "mu_B": frac_str(mb), "k": k,
+                                "ratio": frac_str(lhs / rhs)})
 
 
 def check_thm2(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
@@ -229,7 +226,7 @@ def check_thm2(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
     mab = measure_of(sys, apply_set(sys, A, B))
     lhs, rhs = dk * mb ** (k - 1), mab**k
     return CheckResult(name, instance, lhs, rhs, lhs <= rhs,
-                       witness={"density_kA": _frac(dk), "mu_AB": _frac(mab), "k": k})
+                       witness={"density_kA": frac_str(dk), "mu_AB": frac_str(mab), "k": k})
 
 
 def check_cor2_group(A: FiniteSet, B: FiniteSet, k: int,
@@ -271,8 +268,8 @@ def check_cor1_cor3_zline(A: ZSetDesc, B: ZSetDesc, k: int,
     return CheckResult(
         name, instance, lhs, rhs, holds, vacuous,
         "d*(kA) = 0: both bounds are trivial" if vacuous else "",
-        witness={"lower_lhs": _frac(lower_lhs), "lower_rhs": _frac(lower_rhs),
-                 "d_upper_kA": _frac(du_ka), "k": k})
+        witness={"lower_lhs": frac_str(lower_lhs), "lower_rhs": frac_str(lower_rhs),
+                 "d_upper_kA": frac_str(du_ka), "k": k})
 
 
 def check_prop12(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
@@ -285,7 +282,7 @@ def check_prop12(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
     ck = mag_ratio(sys, iterated_sumset(A, k), B).value
     lhs, rhs = c1**k, ck
     return CheckResult(name, instance, lhs, rhs, lhs >= rhs,
-                       witness={"c_A_B": _frac(c1), "c_Ak_B": _frac(ck), "k": k})
+                       witness={"c_A_B": frac_str(c1), "c_Ak_B": frac_str(ck), "k": k})
 
 
 def check_petridis_lemma(sys: ActionSystem, A: FiniteSet, B: StateSubset,
@@ -306,12 +303,12 @@ def check_petridis_lemma(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     mabp = measure_of(sys, apply_set(sys, A, Bp))
     if mabp > (1 + eps) * mbp * c:
         return _vacuous(name, instance, "premise violated",
-                        mu_ABp=_frac(mabp), bound=_frac((1 + eps) * mbp * c))
+                        mu_ABp=frac_str(mabp), bound=frac_str((1 + eps) * mbp * c))
     lhs = measure_of(sys, apply_set(sys, sumset(F, A), Bp))
     rhs = ((1 + eps) * measure_of(sys, apply_set(sys, F, Bp))
            + eps * F.size * mbp) * c
     return CheckResult(name, instance, lhs, rhs, lhs <= rhs,
-                       witness={"c_A_B": _frac(c), "eps": _frac(eps),
+                       witness={"c_A_B": frac_str(c), "eps": frac_str(eps),
                                 "size_F": F.size})
 
 
@@ -339,8 +336,8 @@ def check_petridis_growth(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     lhs = measure_of(sys, apply_set(sys, iterated_sumset(A, k + 1), Bp)) / mbp
     rhs = (1 + eps) ** (k + 1) * c ** (k + 1) + eps * dk * c**k
     return CheckResult(name, instance, lhs, rhs, lhs <= rhs,
-                       witness={"c_A_B": _frac(c), "D_k": dk, "k": k,
-                                "eps": _frac(eps)})
+                       witness={"c_A_B": frac_str(c), "D_k": dk, "k": k,
+                                "eps": frac_str(eps)})
 
 
 def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
@@ -358,7 +355,7 @@ def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
         raise ValueError(f"k must be >= 1, got {k}")
     if Bp.mask & ~B.mask:
         raise ValueError("B' must be contained in B")
-    cand = [x for x in state_subset(sys, B.indices()).indices() if sys.weights[x] > 0]
+    cand = list(bit_indices(B.mask & sys.support_mask))
     if len(cand) > 20:
         raise ValueError(f"superset search guard exceeded: |B ∩ supp| = {len(cand)} > 20")
     mb = measure_of(sys, B)
@@ -388,7 +385,7 @@ def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                                         "superset": B2.to_json()})
     return CheckResult(name, instance, mbp, delta * mb, False,
                        note="no qualifying superset exists",
-                       witness={"branch": "none", "bound": _frac(bound)})
+                       witness={"branch": "none", "bound": frac_str(bound)})
 
 
 def check_prop2_minmax(sys: ActionSystem, A: FiniteSet, B: StateSubset,
@@ -406,7 +403,7 @@ def check_prop2_minmax(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     value = mag_ratio_delta(sys, A, B, delta).value
     lhs, rhs = value, 1 / mb
     return CheckResult(name, instance, lhs, rhs, lhs == rhs,
-                       witness={"delta": _frac(delta), "mu_B": _frac(mb)})
+                       witness={"delta": frac_str(delta), "mu_B": frac_str(mb)})
 
 
 def check_prop21(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
@@ -422,7 +419,7 @@ def check_prop21(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
     mab = measure_of(sys, apply_set(sys, A, B))
     lhs, rhs = ck * mb**k, mab**k
     return CheckResult(name, instance, lhs, rhs, lhs <= rhs,
-                       witness={"c_Ak_B": _frac(ck), "mu_AB": _frac(mab), "k": k})
+                       witness={"c_Ak_B": frac_str(ck), "mu_AB": frac_str(mab), "k": k})
 
 
 def check_prop22(sys: ActionSystem, A: FiniteSet, B: StateSubset,
@@ -439,7 +436,7 @@ def check_prop22(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     c = mag_ratio(sys, A, B).value
     holds = d <= mab and d <= c * mb
     return CheckResult(name, instance, d, mab, holds,
-                       witness={"c_mu_B": _frac(c * mb), "c_A_B": _frac(c)})
+                       witness={"c_mu_B": frac_str(c * mb), "c_A_B": frac_str(c)})
 
 
 @dataclass(frozen=True)
@@ -545,7 +542,7 @@ def check_levelset(profile: LevelProfile, A: FiniteSet,
             and mu_of(masks_ae[t]) < (mean + eps) * mu_of(masks_e[t])
             for t in thresholds
         )
-        cheb[_frac(eps)] = ok
+        cheb[frac_str(eps)] = ok
     holds = identity and inclusion and all(cheb.values())
     return CheckResult(name, instance, lhs, integral_e, holds,
                        witness={"identity": identity, "inclusion": inclusion,
@@ -572,7 +569,7 @@ def check_transitive_point(sys_y: ActionSystem, A_clopen: StateSubset,
         values.append(measure_of(sys_x, apply_set(sys_x, negate(ay), B)))
     lhs, rhs = max(values), min(values)
     return CheckResult(name, instance, lhs, rhs, lhs == rhs,
-                       witness={"values": sorted({_frac(v) for v in values}),
+                       witness={"values": sorted({frac_str(v) for v in values}),
                                 "points": sys_y.states})
 
 
@@ -631,8 +628,8 @@ class CampaignConfig:
             "max_order": self.max_order,
             "max_set": self.max_set,
             "k_values": list(self.k_values),
-            "deltas": [_frac(d) for d in self.deltas],
-            "epsilons": [_frac(e) for e in self.epsilons],
+            "deltas": [frac_str(d) for d in self.deltas],
+            "epsilons": [frac_str(e) for e in self.epsilons],
         }
 
 
@@ -933,7 +930,7 @@ class VerificationReport:
                 equality = row.instance
         if tight is not None:
             out["thm1_tightness"] = {
-                "min_ratio": _frac(tight[0]),
+                "min_ratio": frac_str(tight[0]),
                 "instance": tight[1],
                 "equality_instance": equality,
             }
@@ -953,7 +950,7 @@ class VerificationReport:
         writer.writerow(["instance_id", "check", "lhs", "rhs", "holds", "vacuous", "witness"])
         for r in self.rows:
             writer.writerow([
-                r.instance, r.check, _frac(r.lhs), _frac(r.rhs),
+                r.instance, r.check, frac_str(r.lhs), frac_str(r.rhs),
                 "true" if r.holds else "false",
                 "true" if r.vacuous else "false",
                 json.dumps(r.witness, sort_keys=True, separators=(",", ":")),

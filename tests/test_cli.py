@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,12 @@ def test_density_no_mode(capsys):
     assert "describe the set" in err
 
 
+def test_density_zero_period_is_rejected_as_a_period(capsys):
+    code, _, err = run(capsys, "density", "--period", "0", "--pattern", "0")
+    assert code == 2
+    assert "tail period must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # magratio
 
@@ -145,6 +152,14 @@ def test_magratio_guard_exit(capsys):
                        "--B", ",".join(str(i) for i in range(25)), "--delta", "1/2")
     assert code == 2
     assert "guard" in err
+
+
+def test_magratio_large_order_factor(capsys):
+    # Generator powers up to 4095 once overflowed the interpreter stack.
+    code, out, _ = run(capsys, "magratio", "--group", "4096", "--A", "4095,17,2222",
+                       "--B", "0,5,9")
+    assert code == 0
+    assert out.startswith("3/1, ")
 
 
 def test_magratio_json(capsys):
@@ -198,6 +213,19 @@ def test_verify_zero_instances(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     code, out, _ = run(capsys, "verify", "--instances", "0", "--out", str(out_path))
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "c62acb1f42b9161c060052b5b7dd7b8768ed44595bc7c9ed830b96aa20566db0"),
+    ("csv", "879df06d1c494a9e622bd248f4ac9a4144bbcbb6de04be96f06060ad4213b86d"),
+])
+def test_verify_seeded_report_bytes_are_pinned(capsys, tmp_path, fmt, digest):
+    # A fixed seed must give the same report bytes across refactors.
+    out_path = tmp_path / f"report.{fmt}"
+    code, _, _ = run(capsys, "verify", "--seed", "1", "--instances", "30",
+                     "--format", fmt, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_verify_deterministic_outputs(capsys, tmp_path):

@@ -28,6 +28,8 @@ from sumsetlab import (
     system_to_json,
 )
 
+from sumsetlab.systems import ActionSystem, cover_masks, perm_power
+
 from conftest import sets_in, system_instances, systems
 
 Z8 = make_group([8])
@@ -124,6 +126,42 @@ def test_apply_set_rejects_mismatches():
         apply_set(sysm, finite_set(Z8, []), B)
     with pytest.raises(ValueError, match="different system"):
         apply_set(other, finite_set(Z4, [0]), B)
+
+
+def test_cover_masks_are_single_point_images():
+    sysm = regular_system(Z8)
+    A = finite_set(Z8, [0, 3])
+    covers = cover_masks(sysm, A, state_subset(sysm, [6, 1]))
+    assert list(covers) == [1, 6]
+    assert covers == {1: 1 << 1 | 1 << 4, 6: 1 << 6 | 1 << 1}
+
+
+def test_perm_power_matches_repeated_composition():
+    perm = (3, 0, 4, 1, 2, 6, 5)
+    expected = tuple(range(7))
+    for d in range(40):
+        assert perm_power(perm, d) == expected
+        expected = tuple(perm[x] for x in expected)
+
+
+def test_large_factor_order_action():
+    # One power per recursion level once overflowed the stack at orders near 1000.
+    g = make_group([5000])
+    sysm = regular_system(g)
+    assert sysm.elem_perm(4999)[0] == 4999
+    assert sysm.apply(2500, 2600) == 100
+    with pytest.raises(ValueError, match="order dividing 2500"):
+        make_system(make_group([2500]), 5000, [rotation_table(5000)])
+
+
+def test_integer_measure_of_a_directly_built_system():
+    base = quotient_system(Z8, [8])
+    weights = (Fraction(1, 6),) * 3 + (Fraction(1, 4),) * 2 + (Fraction(0),) * 3
+    sysm = ActionSystem(base.group, 8, base.generators, weights)
+    assert sysm.denominator == 12
+    assert sysm.int_weights == (2, 2, 2, 3, 3, 0, 0, 0)
+    assert sysm.support_mask == 0b11111
+    assert measure_of(sysm, state_subset(sysm, [0, 3, 7])) == Fraction(5, 12)
 
 
 def test_measure_of_uniform_regular_system():
