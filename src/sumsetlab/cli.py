@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .magnification import mag_ratio, mag_ratio_delta, mag_ratio_oracle
 from .orbits import verify_correspondence
 from .spectral import equidist_defect, floor_three_halves, weyl_defect_window
 from .systems import regular_system, state_subset, system_from_json
-from .verify import CHECK_NAMES, CampaignConfig, run_campaign
+from .verify import CHECK_NAMES, CHECKS, CampaignConfig, run_campaign
 from .zline import (
     banach_lower,
     banach_upper,
@@ -32,29 +33,10 @@ from .zline import (
     zsumset,
 )
 
-_CHECK_HELP = """\
-checks (the inequality each one verifies, in exact arithmetic):
-  thm1        mu(AB)^k >= mu(B)^(k-1) when A is an ergodic basis of order k
-  thm2        d(kA) * mu(B)^(k-1) <= mu(AB)^k on ergodic systems
-  cor2        |A+B|^k >= |kA| * |B|^(k-1) in a finite abelian group
-  cor13       d*(A+B)^k >= d*(kA) * d*(B)^(k-1), and the d_* variant,
-              for eventually periodic subsets of the integers
-  prop12      c(A,B)^k >= c(A^k,B)
-  petridis    mu(FAB') <= ((1+eps) mu(FB') + eps |F| mu(B')) c(A,B)
-              whenever mu(AB') <= (1+eps) mu(B') c(A,B)
-  petridis2   mu(A^(k+1)B')/mu(B') <= (1+eps)^(k+1) c^(k+1) + eps D_k c^k
-              with D_0 = 0, D_k = 2 D_(k-1) + |A|^k
-  prop13      a set below the delta-mass threshold extends to a strictly
-              larger subset still satisfying the k-fold growth bound
-  prop2       c_delta(A,B) = 1/mu(B) when A is an ergodic set
-  prop21      c(A^k,B) * mu(B)^k <= mu(AB)^k
-  prop22      d(A) <= mu(AB) and d(A) <= c(A,B) mu(B)
-  levelset    exact layer-cake identity, level-set inclusion, and the
-              positive-mass Chebyshev bound
-  transitive  mu((A_y)^{-1} B) is the same for every point y of a finite
-              transitive system
-  oracle      flow-based magnification ratio == exhaustive enumeration
-"""
+_VERIFY_EPILOG = "checks (the inequality each one verifies, in exact arithmetic):\n" + "\n".join(
+    textwrap.fill(check.statement, 78, initial_indent=f"  {check.name:<11} ",
+                  subsequent_indent=" " * 14)
+    for check in CHECKS)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -263,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run a seeded verification campaign",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_CHECK_HELP,
+        epilog=_VERIFY_EPILOG,
     )
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--instances", type=int, default=100, help="instances per check")

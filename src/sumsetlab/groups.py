@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 __all__ = [
+    "MAX_GROUP_ORDER",
     "GroupSpec",
     "FiniteSet",
     "bit_indices",
@@ -49,6 +50,10 @@ def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Subsets are bitmasks of |G| bits, so the order is bounded before any is built.
+MAX_GROUP_ORDER = 1 << 24
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group given by its cyclic factor orders."""
@@ -61,6 +66,9 @@ class GroupSpec:
         clean = tuple(int(n) for n in self.orders)
         if any(n < 1 for n in clean):
             raise ValueError(f"factor orders must be positive, got {list(clean)}")
+        order = math.prod(clean)
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
         object.__setattr__(self, "orders", clean)
 
     @cached_property

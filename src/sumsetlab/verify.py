@@ -72,6 +72,7 @@ __all__ = [
     "LevelProfile",
     "CampaignConfig",
     "VerificationReport",
+    "CHECKS",
     "CHECK_NAMES",
     "petridis_constants",
     "check_thm1",
@@ -174,6 +175,26 @@ def _vacuous(check: str, instance: str, note: str, **witness) -> CheckResult:
                        dict(witness))
 
 
+def _need_k(k: int, least: int = 1) -> None:
+    if k < least:
+        raise ValueError(f"k must be >= {least}, got {k}")
+
+
+def _need_subset(Bp: StateSubset, B: StateSubset) -> None:
+    if Bp.mask & ~B.mask:
+        raise ValueError("B' must be contained in B")
+
+
+def _measured(sys: ActionSystem, B: StateSubset, label: str = "B", *,
+              ergodic: bool = False) -> tuple[Fraction, str]:
+    """mu(B) and the vacuity note of the first standing hypothesis that fails
+    (the system is ergodic, when asked; then mu(B) > 0), or "" if none does."""
+    if ergodic and not is_ergodic(sys):
+        return Fraction(0), "system is not ergodic"
+    mb = measure_of(sys, B)
+    return mb, "" if mb else f"{label} has measure zero"
+
+
 def petridis_constants(a_size: int, k: int) -> list[int]:
     """D_0 = 0 and D_j = 2*D_{j-1} + |A|^j, returned as [D_0, ..., D_k]."""
     if a_size < 1:
@@ -193,15 +214,12 @@ def petridis_constants(a_size: int, k: int) -> list[int]:
 
 def check_thm1(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                instance: str = "adhoc") -> CheckResult:
-    """mu(AB)^k >= mu(B)^(k-1) when A is an ergodic basis of order k."""
+    """Check ``thm1`` of ``CHECKS``: vacuous unless ergodic, mu(B) > 0, kA an ergodic set."""
     name = "thm1"
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_ergodic(sys):
-        return _vacuous(name, instance, "system is not ergodic")
-    mb = measure_of(sys, B)
-    if mb == 0:
-        return _vacuous(name, instance, "B has measure zero")
+    _need_k(k)
+    mb, note = _measured(sys, B, ergodic=True)
+    if note:
+        return _vacuous(name, instance, note)
     if not is_ergodic_basis(sys, A, k):
         return _vacuous(name, instance, f"A is not an ergodic basis of order {k}")
     mab = measure_of(sys, apply_set(sys, A, B))
@@ -213,15 +231,12 @@ def check_thm1(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
 
 def check_thm2(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                instance: str = "adhoc") -> CheckResult:
-    """d(A^k) * mu(B)^(k-1) <= mu(AB)^k on ergodic systems."""
+    """Check ``thm2`` of ``CHECKS`` (d: group density): vacuous unless ergodic, mu(B) > 0."""
     name = "thm2"
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_ergodic(sys):
-        return _vacuous(name, instance, "system is not ergodic")
-    mb = measure_of(sys, B)
-    if mb == 0:
-        return _vacuous(name, instance, "B has measure zero")
+    _need_k(k)
+    mb, note = _measured(sys, B, ergodic=True)
+    if note:
+        return _vacuous(name, instance, note)
     dk = group_density(iterated_sumset(A, k))
     mab = measure_of(sys, apply_set(sys, A, B))
     lhs, rhs = dk * mb ** (k - 1), mab**k
@@ -231,10 +246,9 @@ def check_thm2(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
 
 def check_cor2_group(A: FiniteSet, B: FiniteSet, k: int,
                      instance: str = "adhoc") -> CheckResult:
-    """|A+B|^k >= |kA| * |B|^(k-1) inside a finite abelian group."""
+    """Check ``cor2`` of ``CHECKS`` on two subsets of one finite group."""
     name = "cor2"
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _need_k(k)
     if A.group != B.group:
         raise ValueError("operands live in different groups")
     ab = sumset(A, B).size
@@ -254,8 +268,7 @@ def check_cor1_cor3_zline(A: ZSetDesc, B: ZSetDesc, k: int,
     flagged accordingly.
     """
     name = "cor13"
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _need_k(k)
     AB = zsumset(A, B)
     kA = zsumset_iterated(A, k)
     du_ab, dl_ab = banach_upper(AB), banach_lower(AB)
@@ -274,10 +287,9 @@ def check_cor1_cor3_zline(A: ZSetDesc, B: ZSetDesc, k: int,
 
 def check_prop12(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                  instance: str = "adhoc") -> CheckResult:
-    """c(A,B)^k >= c(A^k,B); no ergodicity assumption."""
+    """Check ``prop12`` of ``CHECKS``; no ergodicity assumption."""
     name = "prop12"
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _need_k(k)
     c1 = mag_ratio(sys, A, B).value
     ck = mag_ratio(sys, iterated_sumset(A, k), B).value
     lhs, rhs = c1**k, ck
@@ -285,25 +297,35 @@ def check_prop12(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                        witness={"c_A_B": frac_str(c1), "c_Ak_B": frac_str(ck), "k": k})
 
 
+def _petridis_premise(sys: ActionSystem, A: FiniteSet, B: StateSubset, Bp: StateSubset,
+                      eps: Fraction) -> tuple[Fraction, Fraction, str, dict]:
+    """mu(B'), c(A,B) and the note of the part of the Petridis premise that
+    fails ("" if none): B' in B, mu(B') > 0, mu(AB') <= (1+eps) mu(B') c(A,B).
+    When the last fails, the witness holds mu(AB') and that bound."""
+    _need_subset(Bp, B)
+    mbp, note = _measured(sys, Bp, "B'")
+    if note:
+        return mbp, Fraction(0), note, {}
+    c = mag_ratio(sys, A, B).value
+    mabp = measure_of(sys, apply_set(sys, A, Bp))
+    bound = (1 + eps) * mbp * c
+    if mabp > bound:
+        return mbp, c, "premise violated", {"mu_ABp": frac_str(mabp), "bound": frac_str(bound)}
+    return mbp, c, "", {}
+
+
 def check_petridis_lemma(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                          Bp: StateSubset, F: FiniteSet, eps: Fraction,
                          instance: str = "adhoc") -> CheckResult:
-    """Under mu(AB') <= (1+eps) mu(B') c(A,B):
-    mu(FAB') <= ((1+eps) mu(FB') + eps |F| mu(B')) * c(A,B)."""
+    """Check ``petridis`` of ``CHECKS`` for eps >= 0 and B' in B; vacuous when
+    mu(B') = 0 or the premise on mu(AB') fails."""
     name = "petridis"
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
-    if Bp.mask & ~B.mask:
-        raise ValueError("B' must be contained in B")
-    mbp = measure_of(sys, Bp)
-    if mbp == 0:
-        return _vacuous(name, instance, "B' has measure zero")
-    c = mag_ratio(sys, A, B).value
-    mabp = measure_of(sys, apply_set(sys, A, Bp))
-    if mabp > (1 + eps) * mbp * c:
-        return _vacuous(name, instance, "premise violated",
-                        mu_ABp=frac_str(mabp), bound=frac_str((1 + eps) * mbp * c))
+    mbp, c, note, premise = _petridis_premise(sys, A, B, Bp, eps)
+    if note:
+        return _vacuous(name, instance, note, **premise)
     lhs = measure_of(sys, apply_set(sys, sumset(F, A), Bp))
     rhs = ((1 + eps) * measure_of(sys, apply_set(sys, F, Bp))
            + eps * F.size * mbp) * c
@@ -315,23 +337,16 @@ def check_petridis_lemma(sys: ActionSystem, A: FiniteSet, B: StateSubset,
 def check_petridis_growth(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                           Bp: StateSubset, eps: Fraction, k: int,
                           instance: str = "adhoc") -> CheckResult:
-    """Iterated form with the D_k recurrence: under the same premise and
-    0 < eps < 1,  mu(A^(k+1) B')/mu(B') <= (1+eps)^(k+1) c^(k+1) + eps D_k c^k."""
+    """Check ``petridis2`` of ``CHECKS``, the iterated form of
+    ``check_petridis_lemma`` under its premise, for 0 < eps < 1 and k >= 0."""
     name = "petridis2"
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if Bp.mask & ~B.mask:
-        raise ValueError("B' must be contained in B")
-    mbp = measure_of(sys, Bp)
-    if mbp == 0:
-        return _vacuous(name, instance, "B' has measure zero")
-    c = mag_ratio(sys, A, B).value
-    mabp = measure_of(sys, apply_set(sys, A, Bp))
-    if mabp > (1 + eps) * mbp * c:
-        return _vacuous(name, instance, "premise violated")
+    _need_k(k, 0)
+    mbp, c, note, _ = _petridis_premise(sys, A, B, Bp, eps)
+    if note:
+        return _vacuous(name, instance, note)
     dk = petridis_constants(A.size, k)[k]
     lhs = measure_of(sys, apply_set(sys, iterated_sumset(A, k + 1), Bp)) / mbp
     rhs = (1 + eps) ** (k + 1) * c ** (k + 1) + eps * dk * c**k
@@ -351,10 +366,8 @@ def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if Bp.mask & ~B.mask:
-        raise ValueError("B' must be contained in B")
+    _need_k(k)
+    _need_subset(Bp, B)
     cand = list(bit_indices(B.mask & sys.support_mask))
     if len(cand) > 20:
         raise ValueError(f"superset search guard exceeded: |B ∩ supp| = {len(cand)} > 20")
@@ -390,16 +403,15 @@ def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
 
 def check_prop2_minmax(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                        delta: Fraction, instance: str = "adhoc") -> CheckResult:
-    """c_delta(A,B) = 1/mu(B) exactly, for A an ergodic set."""
+    """Check ``prop2`` of ``CHECKS``: vacuous unless ergodic, A an ergodic set, mu(B) > 0."""
     name = "prop2"
     delta = Fraction(delta)
-    if not is_ergodic(sys):
-        return _vacuous(name, instance, "system is not ergodic")
-    if not is_ergodic_set(sys, A):
+    # Ergodic sets are defined over ergodic systems only.
+    if is_ergodic(sys) and not is_ergodic_set(sys, A):
         return _vacuous(name, instance, "A is not an ergodic set")
-    mb = measure_of(sys, B)
-    if mb == 0:
-        return _vacuous(name, instance, "B has measure zero")
+    mb, note = _measured(sys, B, ergodic=True)
+    if note:
+        return _vacuous(name, instance, note)
     value = mag_ratio_delta(sys, A, B, delta).value
     lhs, rhs = value, 1 / mb
     return CheckResult(name, instance, lhs, rhs, lhs == rhs,
@@ -408,13 +420,12 @@ def check_prop2_minmax(sys: ActionSystem, A: FiniteSet, B: StateSubset,
 
 def check_prop21(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                  instance: str = "adhoc") -> CheckResult:
-    """c(A^k,B) * mu(B)^k <= mu(AB)^k; no ergodicity assumption."""
+    """Check ``prop21`` of ``CHECKS``; no ergodicity assumption, vacuous if mu(B) = 0."""
     name = "prop21"
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    mb = measure_of(sys, B)
-    if mb == 0:
-        return _vacuous(name, instance, "B has measure zero")
+    _need_k(k)
+    mb, note = _measured(sys, B)
+    if note:
+        return _vacuous(name, instance, note)
     ck = mag_ratio(sys, iterated_sumset(A, k), B).value
     mab = measure_of(sys, apply_set(sys, A, B))
     lhs, rhs = ck * mb**k, mab**k
@@ -424,19 +435,22 @@ def check_prop21(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
 
 def check_prop22(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                  instance: str = "adhoc") -> CheckResult:
-    """d(A) <= mu(AB) and d(A) <= c(A,B) mu(B) on ergodic systems."""
+    """Check ``prop22`` of ``CHECKS`` (d: group density): vacuous unless ergodic, mu(B) > 0."""
     name = "prop22"
-    if not is_ergodic(sys):
-        return _vacuous(name, instance, "system is not ergodic")
-    mb = measure_of(sys, B)
-    if mb == 0:
-        return _vacuous(name, instance, "B has measure zero")
+    mb, note = _measured(sys, B, ergodic=True)
+    if note:
+        return _vacuous(name, instance, note)
     d = group_density(A)
     mab = measure_of(sys, apply_set(sys, A, B))
     c = mag_ratio(sys, A, B).value
     holds = d <= mab and d <= c * mb
     return CheckResult(name, instance, d, mab, holds,
                        witness={"c_mu_B": frac_str(c * mb), "c_A_B": frac_str(c)})
+
+
+def _level_mask(values: Sequence[Fraction], t: Fraction) -> int:
+    """The bitmask of the level set {x : values[x] >= t}."""
+    return sum(1 << x for x, v in enumerate(values) if v >= t)
 
 
 @dataclass(frozen=True)
@@ -489,62 +503,39 @@ def check_levelset(profile: LevelProfile, A: FiniteSet,
     f = profile.values()
     lhs = sum((fx * w for fx, w in zip(f, sys.weights)), Fraction(0))
 
+    # Masses and the two integrals are in units of 1/D, D = sys.denominator.
     thresholds = sorted({v for v in f if v > 0})
-    masks_e: dict[Fraction, int] = {}
-    masks_ae: dict[Fraction, int] = {}
-    integral_e = Fraction(0)
-    integral_ae = Fraction(0)
+    levels: list[tuple[int, int]] = []
+    integral_e = integral_ae = Fraction(0)
     prev = Fraction(0)
-    mu_of = lambda mask: measure_of(sys, StateSubset(sys, mask))
     for t in thresholds:
-        e_mask = 0
-        for x, fx in enumerate(f):
-            if fx >= t:
-                e_mask |= 1 << x
-        ae_mask = apply_set(sys, A, StateSubset(sys, e_mask)).mask if e_mask else 0
-        masks_e[t] = e_mask
-        masks_ae[t] = ae_mask
-        integral_e += (t - prev) * mu_of(e_mask)
-        integral_ae += (t - prev) * mu_of(ae_mask)
+        e_mask = _level_mask(f, t)
+        e, ae = sys.mass(e_mask), sys.mass(apply_set(sys, A, StateSubset(sys, e_mask)).mask)
+        levels.append((e, ae))
+        integral_e += (t - prev) * e
+        integral_ae += (t - prev) * ae
         prev = t
-    identity = lhs == integral_e
+    rhs = integral_e / sys.denominator
+    identity = lhs == rhs
 
     g = [Fraction(0)] * sys.states
     for coeff, subset in zip(profile.coefficients, profile.sets):
         for x in apply_set(sys, A, subset).indices():
             g[x] += coeff
-    combined = sorted({v for v in list(f) + g if v > 0})
     inclusion = True
-    for t in combined:
-        e_mask = 0
-        for x, fx in enumerate(f):
-            if fx >= t:
-                e_mask |= 1 << x
-        if not e_mask:
-            continue
-        ae_mask = apply_set(sys, A, StateSubset(sys, e_mask)).mask
-        f_mask = 0
-        for x, gx in enumerate(g):
-            if gx >= t:
-                f_mask |= 1 << x
-        if ae_mask & ~f_mask:
+    for t in sorted({v for v in list(f) + g if v > 0}):
+        e_mask = _level_mask(f, t)
+        if e_mask and apply_set(sys, A, StateSubset(sys, e_mask)).mask & ~_level_mask(g, t):
             inclusion = False
             break
 
-    cheb: dict[str, bool] = {}
     if integral_e == 0:
         return _vacuous(name, instance, "profile mass is zero on the support")
     mean = integral_ae / integral_e
-    for eps in epsilons:
-        eps = Fraction(eps)
-        ok = any(
-            mu_of(masks_e[t]) > 0
-            and mu_of(masks_ae[t]) < (mean + eps) * mu_of(masks_e[t])
-            for t in thresholds
-        )
-        cheb[frac_str(eps)] = ok
+    cheb = {frac_str(eps): any(0 < e and ae < (mean + Fraction(eps)) * e for e, ae in levels)
+            for eps in epsilons}
     holds = identity and inclusion and all(cheb.values())
-    return CheckResult(name, instance, lhs, integral_e, holds,
+    return CheckResult(name, instance, lhs, rhs, holds,
                        witness={"identity": identity, "inclusion": inclusion,
                                 "cheb": cheb, "thresholds": len(thresholds)})
 
@@ -589,48 +580,6 @@ def check_oracle_equivalence(sys: ActionSystem, A: FiniteSet, B: StateSubset,
 # ---------------------------------------------------------------------------
 # campaign
 # ---------------------------------------------------------------------------
-
-CHECK_NAMES = (
-    "thm1", "thm2", "cor2", "cor13", "prop12", "petridis", "petridis2",
-    "prop13", "prop2", "prop21", "prop22", "levelset", "transitive", "oracle",
-)
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    seed: int = 1
-    instances: int = 100
-    checks: tuple[str, ...] = CHECK_NAMES
-    max_order: int = 16
-    max_set: int = 12
-    k_values: tuple[int, ...] = (1, 2, 3, 4)
-    deltas: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    epsilons: tuple[Fraction, ...] = (Fraction(1, 100), Fraction(1, 10))
-
-    def __post_init__(self) -> None:
-        unknown = [c for c in self.checks if c not in CHECK_NAMES]
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
-        if self.instances < 0:
-            raise ValueError("instance count must be >= 0")
-        if self.max_order < 2:
-            raise ValueError("max_order must be >= 2")
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "deltas", tuple(Fraction(d) for d in self.deltas))
-        object.__setattr__(self, "epsilons", tuple(Fraction(e) for e in self.epsilons))
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "instances": self.instances,
-            "checks": list(self.checks),
-            "max_order": self.max_order,
-            "max_set": self.max_set,
-            "k_values": list(self.k_values),
-            "deltas": [frac_str(d) for d in self.deltas],
-            "epsilons": [frac_str(e) for e in self.epsilons],
-        }
 
 
 def _divisors(n: int) -> list[int]:
@@ -873,22 +822,87 @@ def _drive_oracle(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[C
     return [check_oracle_equivalence(sys, A, B, instance)]
 
 
-_DRIVERS: dict[str, Callable[[SplitMix64, CampaignConfig, str], list[CheckResult]]] = {
-    "thm1": _drive_thm1,
-    "thm2": _drive_thm2,
-    "cor2": _drive_cor2,
-    "cor13": _drive_cor13,
-    "prop12": _drive_prop12,
-    "petridis": _drive_petridis,
-    "petridis2": _drive_petridis2,
-    "prop13": _drive_prop13,
-    "prop2": _drive_prop2,
-    "prop21": _drive_prop21,
-    "prop22": _drive_prop22,
-    "levelset": _drive_levelset,
-    "transitive": _drive_transitive,
-    "oracle": _drive_oracle,
-}
+@dataclass(frozen=True)
+class Check:
+    """A check's report name, the statement ``verify --help`` prints, and the
+    ``_drive_*`` function that draws one campaign instance.  That function
+    calls the public ``check_*`` function by its module-global name, so
+    rebinding the name reaches the campaign."""
+
+    name: str
+    statement: str
+    driver: Callable[[SplitMix64, CampaignConfig, str], list[CheckResult]]
+
+
+# The campaign runs, and the help lists, the checks in this order.
+CHECKS = (
+    Check("thm1", "mu(AB)^k >= mu(B)^(k-1) when A is an ergodic basis of order k",
+          _drive_thm1),
+    Check("thm2", "d(kA) * mu(B)^(k-1) <= mu(AB)^k on ergodic systems", _drive_thm2),
+    Check("cor2", "|A+B|^k >= |kA| * |B|^(k-1) in a finite abelian group", _drive_cor2),
+    Check("cor13", "d*(A+B)^k >= d*(kA) * d*(B)^(k-1), and the d_* variant, for "
+                   "eventually periodic subsets of the integers", _drive_cor13),
+    Check("prop12", "c(A,B)^k >= c(A^k,B)", _drive_prop12),
+    Check("petridis", "mu(FAB') <= ((1+eps) mu(FB') + eps |F| mu(B')) c(A,B) whenever "
+                      "mu(AB') <= (1+eps) mu(B') c(A,B)", _drive_petridis),
+    Check("petridis2", "mu(A^(k+1)B')/mu(B') <= (1+eps)^(k+1) c^(k+1) + eps D_k c^k "
+                       "with D_0 = 0, D_k = 2 D_(k-1) + |A|^k", _drive_petridis2),
+    Check("prop13", "a set below the delta-mass threshold extends to a strictly larger "
+                    "subset still satisfying the k-fold growth bound", _drive_prop13),
+    Check("prop2", "c_delta(A,B) = 1/mu(B) when A is an ergodic set", _drive_prop2),
+    Check("prop21", "c(A^k,B) * mu(B)^k <= mu(AB)^k", _drive_prop21),
+    Check("prop22", "d(A) <= mu(AB) and d(A) <= c(A,B) mu(B)", _drive_prop22),
+    Check("levelset", "exact layer-cake identity, level-set inclusion, and the "
+                      "positive-mass Chebyshev bound", _drive_levelset),
+    Check("transitive", "mu((A_y)^{-1} B) is the same for every point y of a finite "
+                        "transitive system", _drive_transitive),
+    Check("oracle", "flow-based magnification ratio == exhaustive enumeration",
+          _drive_oracle),
+)
+CHECK_NAMES = tuple(check.name for check in CHECKS)
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    seed: int = 1
+    instances: int = 100
+    checks: tuple[str, ...] = CHECK_NAMES
+    max_order: int = 16
+    max_set: int = 12
+    k_values: tuple[int, ...] = (1, 2, 3, 4)
+    deltas: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    epsilons: tuple[Fraction, ...] = (Fraction(1, 100), Fraction(1, 10))
+
+    def __post_init__(self) -> None:
+        checks = tuple(self.checks)
+        unknown = [c for c in checks if c not in CHECK_NAMES]
+        if unknown:
+            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        if not checks:
+            raise ValueError("no checks selected")
+        repeated = sorted({c for c in checks if checks.count(c) > 1})
+        if repeated:
+            raise ValueError(f"checks selected more than once: {', '.join(repeated)}")
+        if self.instances < 0:
+            raise ValueError("instance count must be >= 0")
+        if self.max_order < 2:
+            raise ValueError("max_order must be >= 2")
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "k_values", tuple(self.k_values))
+        object.__setattr__(self, "deltas", tuple(Fraction(d) for d in self.deltas))
+        object.__setattr__(self, "epsilons", tuple(Fraction(e) for e in self.epsilons))
+
+    def to_json(self) -> dict:
+        return {
+            "seed": self.seed,
+            "instances": self.instances,
+            "checks": list(self.checks),
+            "max_order": self.max_order,
+            "max_set": self.max_set,
+            "k_values": list(self.k_values),
+            "deltas": [frac_str(d) for d in self.deltas],
+            "epsilons": [frac_str(e) for e in self.epsilons],
+        }
 
 
 @dataclass(frozen=True)
@@ -972,9 +986,10 @@ def run_campaign(cfg: CampaignConfig) -> VerificationReport:
     seed XOR fnv1a64(check) XOR i * 0x9E3779B97F4A7C15, so reports are
     byte-identical across runs, platforms and check selections.
     """
+    drivers = {check.name: check.driver for check in CHECKS}
     rows: list[CheckResult] = []
     for check in cfg.checks:
-        driver = _DRIVERS[check]
+        driver = drivers[check]
         for i in range(cfg.instances):
             sub = (cfg.seed ^ _fnv1a64(check) ^ (i * _GOLDEN)) & _MASK64
             rows.extend(driver(SplitMix64(sub), cfg, f"{check}-{i:06d}"))

@@ -496,6 +496,10 @@ def test_campaign_zero_instances_empty_report():
 def test_campaign_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown checks"):
         CampaignConfig(checks=("prop12", "nosuch"))
+    with pytest.raises(ValueError, match="no checks selected"):
+        CampaignConfig(checks=())
+    with pytest.raises(ValueError, match="more than once: cor2"):
+        CampaignConfig(checks=("cor2", "prop12", "cor2"))
     with pytest.raises(ValueError, match="instance count"):
         CampaignConfig(instances=-1)
 

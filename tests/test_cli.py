@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from sumsetlab import zset_to_json, periodic, zdesc
 from sumsetlab.cli import main
 from sumsetlab.systems import quotient_system, system_to_json
-from sumsetlab import make_group
+from sumsetlab import CHECK_NAMES, make_group
 
 
 def run(capsys, *argv):
@@ -69,6 +70,13 @@ def test_sumset_malformed_json_file(capsys, tmp_path):
     code, _, err = run(capsys, "sumset", "--zdesc-a", str(bad), "--zdesc-b", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_sumset_group_order_is_bounded(capsys):
+    # A subset of Z/10^12 would be a bitmask of about 125 GB.
+    code, _, err = run(capsys, "sumset", "--group", "1000000000000", "--A", "0", "--B", "0")
+    assert code == 2
+    assert "group order 1000000000000 exceeds the limit" in err
 
 
 def test_sumset_missing_file(capsys, tmp_path):
@@ -207,6 +215,26 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--instances", "1", "--checks", "nosuch")
     assert code == 2
     assert "unknown checks" in err
+
+
+@pytest.mark.parametrize("checks, message", [
+    (",", "no checks selected"),
+    ("cor2,cor2", "checks selected more than once: cor2"),
+])
+def test_verify_rejects_empty_or_repeated_selection(capsys, tmp_path, checks, message):
+    code, _, err = run(capsys, "verify", "--instances", "2", "--checks", checks,
+                         "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_help_lists_every_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    # Each check's line starts with its name; wrapped lines are indented further.
+    assert re.findall(r"^  (\w+) ", capsys.readouterr().out, re.M) == list(CHECK_NAMES)
 
 
 def test_verify_zero_instances(capsys, tmp_path):

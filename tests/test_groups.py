@@ -18,7 +18,7 @@ from sumsetlab import (
     sumset,
     translate,
 )
-from sumsetlab.groups import GroupSpec
+from sumsetlab.groups import MAX_GROUP_ORDER, GroupSpec
 
 from conftest import group_with_sets, groups, sets_in
 
@@ -34,6 +34,9 @@ def test_make_group_orders():
         make_group([0])
     with pytest.raises(ValueError):
         make_group([])
+    assert make_group([MAX_GROUP_ORDER]).cardinality == MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        make_group([MAX_GROUP_ORDER // 2, 3])
 
 
 def test_mixed_radix_encoding_least_significant_first():
