@@ -15,6 +15,7 @@ import os
 import sys
 import textwrap
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .groups import finite_set, frac_str, group_density, make_group, sumset
@@ -204,7 +205,9 @@ def cmd_equidist(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sumsetlab",
         description="Exact verification laboratory for sumset and density inequalities "

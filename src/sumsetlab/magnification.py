@@ -27,16 +27,36 @@ most |B| + 2 cuts; this bound is asserted.
 
 The delta-constrained ratio, which additionally demands mu(S) >= delta *
 mu(B), is not one cut away - the constraint breaks the closure structure -
-so it is computed by exhaustive subset enumeration under a size guard, as
-is the independent oracle used to cross-check the flow route.  For a
-finite acting set the supremum of ratios over its finite subsets collapses
-to the plain ratio, so no separate operation is exposed for that variant.
+so it is computed by exhaustive subset enumeration under a size guard of
+ORACLE_GUARD candidates, as is the independent oracle used to cross-check
+the flow route.  For a finite acting set the supremum of ratios over its
+finite subsets collapses to the plain ratio, so no separate operation is
+exposed for that variant.
+
+One enumerator, ``_subset_blocks``, serves both and also the superset
+search of ``verify``'s prop13.  It relabels the masks A.{b} onto the
+covered states X, stored as ceil(|X|/64) uint64 words per mask, and builds
+the cover and weight of every subset by doubling over the m candidates:
+cover[h:2h] = cover[:h] | A.{b_j} and wsum[h:2h] = wsum[:h] + W(b_j).  The
+covered mass of a cover is a sum of lookups in one 256-entry table per
+byte.  A low table over the first min(m, 16) candidates is OR-ed with each
+subset of the others in turn, so no table holds more than 2^16 covers
+(512 KiB per 64 covered states) and m = 24 takes 256 blocks.  Ratios are
+compared by integer cross-multiplication: in int64 when the square of the
+total integer weight, which bounds every product, is below 2^62, and
+otherwise by the same code on arrays of Python ints.  Ties go to the
+lexicographically smallest sorted index tuple, found by rounds over the
+lowest set bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .groups import FiniteSet, bit_indices, frac_str
 from .systems import ActionSystem, StateSubset, apply_set, cover_masks, state_subset
@@ -217,6 +237,144 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
     raise AssertionError("Dinkelbach loop exceeded the |B| + 2 cut bound")
 
 
+_BLOCK_BITS = 16
+_INT64_LIMIT = 1 << 62
+
+
+def _doubled(first_cover: np.ndarray, first_weight: int, rows: np.ndarray,
+             weights: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Cover words and weight sums of all 2^len(weights) subsets of the rows.
+
+    Subset s (bit i selects row i) covers first_cover | OR rows[i] and weighs
+    first_weight + sum weights[i]; the tables double once per row.
+    """
+    cover = np.empty((1 << len(weights), rows.shape[1]), dtype="<u8")
+    wsum = np.empty(1 << len(weights), dtype=dtype)
+    cover[0] = first_cover
+    wsum[0] = first_weight
+    for j, weight in enumerate(weights):
+        h = 1 << j
+        np.bitwise_or(cover[:h], rows[j], out=cover[h:2 * h])
+        np.add(wsum[:h], weight, out=wsum[h:2 * h])
+    return cover, wsum
+
+
+@cache
+def _byte_bits(dtype) -> np.ndarray:
+    """Row v holds the eight bits of the byte value v, lowest first."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little").astype(dtype)
+    bits.flags.writeable = False
+    return bits
+
+
+def _subset_blocks(
+    sys: ActionSystem,
+    covers: Sequence[int],
+    weights: Sequence[int],
+    limit: int,
+    base_cover: int = 0,
+    base_weight: int = 0,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Covered mass and weight of every subset of the candidates, in blocks.
+
+    Subset s (bit i selects candidate i) covers base_cover | OR covers[i],
+    whose measure in units of 1/D is its mass, and weighs base_weight +
+    sum weights[i].  Yields (first, mass, wsum) in ascending order of first,
+    where mass[r] and wsum[r] belong to subset first + r.  Entries are int64
+    when ``limit``, a bound on every product the caller forms from them, is
+    below 2^62, and Python ints in object arrays otherwise.
+    """
+    dtype = np.int64 if limit < _INT64_LIMIT else object
+    union = base_cover
+    for mask in covers:
+        union |= mask
+    xs = list(bit_indices(union))
+    position = {x: 1 << i for i, x in enumerate(xs)}
+    words = max(1, -(-len(xs) // 64))
+    relabelled = b"".join(sum(position[x] for x in bit_indices(mask)).to_bytes(8 * words, "little")
+                          for mask in (base_cover, *covers))
+    rows = np.frombuffer(relabelled, dtype="<u8").reshape(-1, words)
+
+    # table[j][v]: the mass of byte value v in byte j of the relabelled cover.
+    octets = -(-len(xs) // 8)
+    wx = np.zeros(8 * octets, dtype=dtype)
+    wx[:len(xs)] = [sys.int_weights[x] for x in xs]
+    table = np.ascontiguousarray((_byte_bits(dtype) @ wx.reshape(octets, 8).T).T)
+
+    def mass_of(cover: np.ndarray) -> np.ndarray:
+        octet = cover.view(np.uint8)
+        mass = np.zeros(len(cover), dtype=dtype)
+        for j in range(octets):
+            mass += table[j][octet[:, j]]
+        return mass
+
+    low = min(len(covers), _BLOCK_BITS)
+    lo_cover, lo_wsum = _doubled(rows[0], base_weight, rows[1:1 + low], weights[:low], dtype)
+    # The low table goes out in chunks [0, 256), [256, 4096), [4096, 65536),
+    # so a caller that stops at an early hit measures little of it.
+    first = 0
+    while first < len(lo_wsum):
+        stop = min(max(first << 4, 256), len(lo_wsum))
+        yield first, mass_of(lo_cover[first:stop]), lo_wsum[first:stop]
+        first = stop
+    hi_cover, hi_wsum = _doubled(np.zeros(words, dtype="<u8"), 0, rows[1 + low:],
+                                 weights[low:], dtype)
+    for h in range(1, len(hi_wsum)):
+        yield h << low, mass_of(lo_cover | hi_cover[h]), lo_wsum + hi_wsum[h]
+
+
+def first_subset_within(
+    sys: ActionSystem,
+    covers: Sequence[int],
+    weights: Sequence[int],
+    bound: Fraction,
+    base_cover: int = 0,
+    base_weight: int = 0,
+) -> int | None:
+    """The least non-empty selection s whose covered mass over its weight,
+    as laid out by ``_subset_blocks``, is at most ``bound``; None if none is."""
+    p, q = bound.numerator, bound.denominator
+    limit = max(sum(sys.int_weights), base_weight + sum(weights)) * max(p, q)
+    for first, mass, wsum in _subset_blocks(sys, covers, weights, limit,
+                                            base_cover, base_weight):
+        hits = np.flatnonzero(mass * q <= p * wsum)
+        hits = hits[hits + first > 0]
+        if len(hits):
+            return first + int(hits[0])
+    return None
+
+
+def _lex_first(sels: np.ndarray) -> int:
+    """The selection mask whose sorted index tuple is lexicographically smallest.
+
+    Rounds over the lowest set bit: keep the masks whose next index is
+    smallest.  A mask with no index left has lowest bit 0, so it is kept
+    alone: it is a prefix of the others.
+    """
+    rest = sels
+    while len(sels) > 1:
+        low = rest & -rest
+        keep = low == low.min()
+        sels, rest = sels[keep], rest[keep] ^ low[keep]
+    return int(sels[0])
+
+
+def _least_ratio(num: np.ndarray, den: np.ndarray, shift: int) -> tuple[int, int]:
+    """The least num/den over rows of positive integers.
+
+    The key floor(num * 2^shift / den) never decreases as the ratio grows,
+    so the row of least key is a first guess; integer cross-multiplication
+    then replaces it by a strictly smaller ratio until none is left.
+    """
+    i = int(np.argmin((num << shift) // den))
+    while True:
+        below = np.flatnonzero(num * den[i] < num[i] * den)
+        if not len(below):
+            return int(num[i]), int(den[i])
+        i = int(below[0])
+
+
 def _enumerate_best(
     sys: ActionSystem,
     covers: dict[int, int],
@@ -227,66 +385,41 @@ def _enumerate_best(
     The candidates are the keys of ``covers``.  Ratios are compared by
     integer cross-multiplication; ties break toward the lexicographically
     smallest sorted index tuple.  ``min_weight_scaled`` filters subsets
-    whose measure, in units of 1/D, is below the bound.
+    whose measure, in units of 1/D, is below the bound.  Each block keeps
+    only the subsets no worse than the best so far, then takes their least
+    ratio and its smallest tie.
     """
     cand = list(covers)
-    wint = sys.int_weights
-    m = len(cand)
-    cover_w: dict[int, int] = {}
-
-    def weight_of(mask: int) -> int:
-        got = cover_w.get(mask)
-        if got is None:
-            got = sys.mass(mask)
-            cover_w[mask] = got
-        return got
-
+    w = sys.int_weights
+    total = sum(w)
+    # Keys below 2^62 in int64; any shift keeps _least_ratio exact.
+    shift = max(0, 62 - total.bit_length())
+    # Every candidate weighs at least 1, so the floor also drops the empty subset.
+    floor = max(min_weight_scaled, 1)
     best: tuple[int, int, int] | None = None  # (num, den, selection mask)
-    examined = 0
-
-    def consider(sel_mask: int, cover: int, wsum: int) -> None:
-        nonlocal best, examined
-        examined += 1
-        if wsum < min_weight_scaled:
-            return
-        num = weight_of(cover)
-        if best is None or num * best[1] < best[0] * wsum:
-            best = (num, wsum, sel_mask)
-        elif num * best[1] == best[0] * wsum:
-            old = [cand[i] for i in bit_indices(best[2])]
-            new = [cand[i] for i in bit_indices(sel_mask)]
-            if new < old:
-                best = (num, wsum, sel_mask)
-
-    if m <= 20:
-        cover_tab = [0] * (1 << m)
-        wsum_tab = [0] * (1 << m)
-        for sel in range(1, 1 << m):
-            low = sel & -sel
-            i = low.bit_length() - 1
-            rest = sel ^ low
-            cover_tab[sel] = cover_tab[rest] | covers[cand[i]]
-            wsum_tab[sel] = wsum_tab[rest] + wint[cand[i]]
-            consider(sel, cover_tab[sel], wsum_tab[sel])
-    else:
-        def walk(i: int, sel_mask: int, cover: int, wsum: int) -> None:
-            if i == m:
-                if sel_mask:
-                    consider(sel_mask, cover, wsum)
-                return
-            walk(i + 1, sel_mask, cover, wsum)
-            b = cand[i]
-            walk(i + 1, sel_mask | (1 << i), cover | covers[b], wsum + wint[b])
-
-        walk(0, 0, 0, 0)
+    for first, mass, wsum in _subset_blocks(sys, list(covers.values()),
+                                            [w[b] for b in cand], total * total):
+        keep = wsum >= floor
+        if best is not None:
+            keep &= mass * best[1] <= best[0] * wsum
+        rows = np.flatnonzero(keep)
+        if not len(rows):
+            continue
+        mass, wsum = mass[rows], wsum[rows]
+        num, den = _least_ratio(mass, wsum, shift)
+        sel = _lex_first(first + rows[mass * den == num * wsum])
+        # The block's least ratio is at most the best so far: below it, or a tie.
+        if (best is None or num * best[1] < best[0] * den
+                or list(bit_indices(sel)) < list(bit_indices(best[2]))):
+            best = (num, den, sel)
 
     if best is None:
         return None
-    num, den, sel_mask = best
+    num, den, sel = best
     witness = 0
-    for i in bit_indices(sel_mask):
+    for i in bit_indices(sel):
         witness |= 1 << cand[i]
-    return Fraction(num, den), witness, examined
+    return Fraction(num, den), witness, (1 << len(cand)) - 1
 
 
 def mag_ratio_oracle(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationResult:

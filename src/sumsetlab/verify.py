@@ -39,11 +39,12 @@ from .groups import (
     negate,
     sumset,
 )
-from .magnification import mag_ratio, mag_ratio_delta, mag_ratio_oracle
+from .magnification import first_subset_within, mag_ratio, mag_ratio_delta, mag_ratio_oracle
 from .systems import (
     ActionSystem,
     StateSubset,
     apply_set,
+    cover_masks,
     disjoint_union,
     is_ergodic,
     is_ergodic_basis,
@@ -378,24 +379,27 @@ def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     mab = measure_of(sys, apply_set(sys, A, B))
     bound = (1 / (1 - delta)) ** k * (mab / mb) ** k
     Ak = iterated_sumset(A, k)
-    if measure_of(sys, apply_set(sys, Ak, Bp)) / mbp > bound:
+    AkBp = apply_set(sys, Ak, Bp)
+    if measure_of(sys, AkBp) / mbp > bound:
         return _vacuous(name, instance, "premise violated: B' does not satisfy the bound")
     if mbp >= delta * mb:
         return CheckResult(name, instance, mbp, delta * mb, True,
                            note="first branch: B' already reaches delta * mu(B)",
                            witness={"branch": "mass"})
+    # The first qualifying B' + extras in ascending order of the extras' bitmask.
     extras = [x for x in cand if not (Bp.mask >> x) & 1]
-    for pick in range(1, 1 << len(extras)):
+    covers = cover_masks(sys, Ak, state_subset(sys, extras))
+    w = sys.int_weights
+    pick = first_subset_within(sys, list(covers.values()), [w[x] for x in extras], bound,
+                               AkBp.mask, sys.mass(Bp.mask))
+    if pick is not None:
         mask = Bp.mask
-        for i, x in enumerate(extras):
-            if (pick >> i) & 1:
-                mask |= 1 << x
-        B2 = StateSubset(sys, mask)
-        if measure_of(sys, apply_set(sys, Ak, B2)) / measure_of(sys, B2) <= bound:
-            return CheckResult(name, instance, mbp, delta * mb, True,
-                               note="second branch: strict superset found",
-                               witness={"branch": "superset",
-                                        "superset": B2.to_json()})
+        for i in bit_indices(pick):
+            mask |= 1 << extras[i]
+        return CheckResult(name, instance, mbp, delta * mb, True,
+                           note="second branch: strict superset found",
+                           witness={"branch": "superset",
+                                    "superset": StateSubset(sys, mask).to_json()})
     return CheckResult(name, instance, mbp, delta * mb, False,
                        note="no qualifying superset exists",
                        witness={"branch": "none", "bound": frac_str(bound)})
@@ -887,6 +891,8 @@ class CampaignConfig:
             raise ValueError("instance count must be >= 0")
         if self.max_order < 2:
             raise ValueError("max_order must be >= 2")
+        if self.max_set < 1:
+            raise ValueError("max_set must be >= 1")
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "deltas", tuple(Fraction(d) for d in self.deltas))

@@ -502,6 +502,10 @@ def test_campaign_rejects_unknown_check():
         CampaignConfig(checks=("cor2", "prop12", "cor2"))
     with pytest.raises(ValueError, match="instance count"):
         CampaignConfig(instances=-1)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_set must be >= 1"):
+            CampaignConfig(max_set=bad)
+    assert CampaignConfig(max_set=1).max_set == 1
 
 
 def test_campaign_is_deterministic():

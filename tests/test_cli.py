@@ -9,7 +9,7 @@ import re
 import pytest
 
 from sumsetlab import zset_to_json, periodic, zdesc
-from sumsetlab.cli import main
+from sumsetlab.cli import _build_parser, main
 from sumsetlab.systems import quotient_system, system_to_json
 from sumsetlab import CHECK_NAMES, make_group
 
@@ -227,6 +227,21 @@ def test_verify_rejects_empty_or_repeated_selection(capsys, tmp_path, checks, me
     assert code == 2
     assert message in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_rejects_nonpositive_max_set(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "--max-set", "-3", "--instances", "2",
+                       "--checks", "thm2,prop21", "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "max_set must be >= 1" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert _build_parser() is _build_parser()
+    first = run(capsys, "sumset", "--group", "8", "--A", "0,1", "--B", "0,4")
+    assert run(capsys, "sumset", "--group", "8", "--A", "0,1", "--B", "0,4") == first
+    assert first[0] == 0
 
 
 def test_verify_help_lists_every_check(capsys):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,9 @@ from sumsetlab import (
     regular_system,
     state_subset,
 )
+from sumsetlab.groups import bit_indices
+from sumsetlab.magnification import _enumerate_best, _least_ratio, first_subset_within
+from sumsetlab.systems import ActionSystem, cover_masks
 
 from conftest import sets_in, system_instances
 
@@ -232,3 +237,158 @@ def test_delta_result_respects_the_floor(data):
     res = mag_ratio_delta(sysm, A, B, delta)
     assert measure_of(sysm, res.witness) >= delta * measure_of(sysm, B)
     check_witness(sysm, A, B, res)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised enumerator against a pure-Python reference
+
+
+def reference_best(sys, covers, min_weight_scaled=0):
+    """One subset at a time: (value, witness mask, count), or None if no
+    subset weighs at least min_weight_scaled."""
+    cand = list(covers)
+    w = sys.int_weights
+    m = len(cand)
+    best = None  # (num, den, selection mask)
+    cover_tab = [0] * (1 << m)
+    wsum_tab = [0] * (1 << m)
+    for sel in range(1, 1 << m):
+        low = sel & -sel
+        i = low.bit_length() - 1
+        cover_tab[sel] = cover_tab[sel ^ low] | covers[cand[i]]
+        wsum_tab[sel] = wsum_tab[sel ^ low] + w[cand[i]]
+        wsum = wsum_tab[sel]
+        if wsum < min_weight_scaled:
+            continue
+        num = sys.mass(cover_tab[sel])
+        if best is None or num * best[1] < best[0] * wsum:
+            best = (num, wsum, sel)
+        elif num * best[1] == best[0] * wsum:
+            old = [cand[i] for i in bit_indices(best[2])]
+            if [cand[i] for i in bit_indices(sel)] < old:
+                best = (num, wsum, sel)
+    if best is None:
+        return None
+    witness = 0
+    for i in bit_indices(best[2]):
+        witness |= 1 << cand[i]
+    return Fraction(best[0], best[1]), witness, (1 << m) - 1
+
+
+def reweighted(sysm, weights):
+    """The same action with other state weights (not checked for invariance)."""
+    total = sum(weights)
+    return ActionSystem(sysm.group, sysm.states, sysm.generators,
+                        tuple(Fraction(x, total) for x in weights))
+
+
+def assert_matches_reference(sysm, A, B, delta=None):
+    covers = {b: mask for b, mask in cover_masks(sysm, A, B).items() if sysm.int_weights[b]}
+    if delta is None:
+        expected = reference_best(sysm, covers)
+        got = mag_ratio_oracle(sysm, A, B)
+    else:
+        total = sysm.mass(B.mask)
+        expected = reference_best(sysm, covers,
+                                  -(-delta.numerator * total // delta.denominator))
+        if expected is None:
+            with pytest.raises(ValueError, match="reaches delta"):
+                mag_ratio_delta(sysm, A, B, delta)
+            return
+        got = mag_ratio_delta(sysm, A, B, delta)
+    assert (got.value, got.witness.mask, got.iterations) == expected
+
+
+def differential_cases():
+    rng = random.Random(20131)
+    for trial in range(60):
+        n = rng.choice([5, 8, 12, 16])
+        group = make_group([n])
+        sysm = regular_system(group)
+        kind = trial % 4
+        if kind == 1:  # zero-weight states and unequal weights
+            ws = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(n)]
+            ws[rng.randrange(n)] = 1 + rng.randrange(5)
+            sysm = reweighted(sysm, ws)
+        elif kind == 2:  # weights whose total needs Python ints
+            sysm = reweighted(sysm, [rng.randrange(1, 1 << 40) for _ in range(n)])
+            assert sum(sysm.int_weights) ** 2 >= 1 << 62
+        A = [0] if kind == 3 else rng.sample(range(n), rng.randint(1, min(n, 5)))
+        B = rng.sample(range(n), rng.randint(1, min(n, 10)))
+        yield sysm, finite_set(group, A), state_subset(sysm, B)
+    # More than 64 states: cover masks span several words.
+    group = make_group([1024])
+    sysm = regular_system(group)
+    for size in (3, 40):
+        yield (sysm, finite_set(group, rng.sample(range(1024), size)),
+               state_subset(sysm, rng.sample(range(1024), 12)))
+    # Past one block of 2^16 subsets, with and without ties everywhere.
+    group = make_group([20])
+    sysm = regular_system(group)
+    B = state_subset(sysm, rng.sample(range(20), 17))
+    yield sysm, finite_set(group, [0]), B
+    yield sysm, finite_set(group, [0, 3, 7]), B
+
+
+@pytest.mark.parametrize("delta", [None, Fraction(1, 4), Fraction(2, 3), Fraction(1)])
+def test_enumerator_matches_the_reference(delta):
+    cases = list(differential_cases())
+    assert any(sysm.states > 64 for sysm, _, _ in cases)
+    for sysm, A, B in cases:
+        if not sysm.mass(B.mask):
+            continue
+        assert_matches_reference(sysm, A, B, delta)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_least_ratio_looks_past_its_first_guess(dtype):
+    # With shift 0 every key is 1, so the first guess is 3/2 and exact
+    # comparison must walk down to 5/4.
+    num, den = np.array([3, 4, 5, 7], dtype=dtype), np.array([2, 3, 4, 4], dtype=dtype)
+    assert _least_ratio(num, den, 0) == (5, 4)
+    assert _least_ratio(num, den, 40) == (5, 4)
+
+
+def test_a_later_block_can_hold_the_smallest_tie():
+    # Ratio 1 is reached by {16}, {0, 17} and {0, 16, 17}, in blocks 1, 2 and 3
+    # of 2^16 subsets; the lexicographically smallest is the last one found.
+    sysm = regular_system(make_group([128]))
+    covers = {i: 0b111 << (3 * i) for i in range(1, 16)}
+    covers[0] = covers[17] = 1 << 100 | 1 << 101
+    covers[16] = 1 << 102
+    value, witness, count = _enumerate_best(sysm, dict(sorted(covers.items())))
+    assert (value, witness, count) == (1, 1 | 1 << 16 | 1 << 17, (1 << 18) - 1)
+
+
+def test_oracle_reaches_the_guard():
+    group = make_group([48])
+    sysm = regular_system(group)
+    A = finite_set(group, [0, 1, 5])
+    B = state_subset(sysm, range(0, 48, 2))
+    res = mag_ratio_oracle(sysm, A, B)
+    assert res.iterations == (1 << ORACLE_GUARD) - 1
+    assert res.value == mag_ratio(sysm, A, B).value
+    check_witness(sysm, A, B, res)
+
+
+def test_first_subset_within_matches_a_loop():
+    rng = random.Random(7)
+    for trial in range(40):
+        n = rng.choice([8, 12, 70])
+        sysm = regular_system(make_group([n]))
+        if trial % 3 == 1:
+            sysm = reweighted(sysm, [rng.choice([0, 1, 2, 1 << 60]) for _ in range(n)])
+        covers = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(0, 9))]
+        weights = [rng.randint(1, 4) for _ in covers]
+        base = rng.getrandbits(n)
+        bound = Fraction(rng.randint(1, 30), rng.randint(1, 10))
+        expected = None
+        for pick in range(1, 1 << len(covers)):
+            cover, weight = base, 1
+            for i in bit_indices(pick):
+                cover |= covers[i]
+                weight += weights[i]
+            if sysm.mass(cover) <= bound * weight:
+                expected = pick
+                break
+        assert first_subset_within(sysm, covers, weights, bound, base, 1) == expected
