@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .groups import finite_set, frac_str, group_density, make_group, sumset
+from .groups import finite_set, frac_str, group_density, make_group, parse_fraction, sumset
 from .magnification import mag_ratio, mag_ratio_delta, mag_ratio_oracle
 from .orbits import verify_correspondence
 from .spectral import equidist_defect, floor_three_halves, weyl_defect_window
@@ -51,7 +51,7 @@ def _parse_ints(text: str) -> list[int]:
 
 def _parse_frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational p/q: {text!r}") from None
 
@@ -292,10 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

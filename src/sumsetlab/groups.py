@@ -25,6 +25,9 @@ __all__ = [
     "FiniteSet",
     "bit_indices",
     "frac_str",
+    "json_int",
+    "json_ints",
+    "parse_fraction",
     "make_group",
     "finite_set",
     "full_set",
@@ -48,6 +51,33 @@ def frac_str(x: Fraction | int) -> str:
     """An exact rational as "p/q" in lowest terms, integers as "n/1"."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def parse_fraction(value: int | str) -> Fraction:
+    """An exact rational from an int or a "p/q" or decimal string.
+
+    Floats are refused, and so is exponent notation, which Fraction would
+    expand digit by digit ("1e999999999" is a billion-digit integer).
+    """
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str) or "e" in value.lower():
+        raise ValueError(f"not a rational p/q: {value!r}")
+    return Fraction(value)
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer field; bools, floats and strings are rejected, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
+def json_ints(value, what: str) -> list[int]:
+    """A JSON list of integers, each checked as by ``json_int``."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
 
 
 # Subsets are bitmasks of |G| bits, so the order is bounded before any is built.
@@ -150,10 +180,7 @@ class GroupSpec:
     def from_json(cls, data: dict) -> "GroupSpec":
         if not isinstance(data, dict) or "orders" not in data:
             raise ValueError("group JSON must be an object with an 'orders' list")
-        orders = data["orders"]
-        if not isinstance(orders, list) or not all(isinstance(n, int) for n in orders):
-            raise ValueError("group 'orders' must be a list of integers")
-        return cls(tuple(orders))
+        return cls(tuple(json_ints(data["orders"], "group 'orders'")))
 
 
 @dataclass(frozen=True)

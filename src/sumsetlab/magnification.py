@@ -25,6 +25,15 @@ minimum exactly zero) or returns the minimal closure, a subset of strictly
 smaller ratio.  Successive minimizers are nested, so the loop performs at
 most |B| + 2 cuts; this bound is asserted.
 
+The network is built once per ratio and only its capacities change from
+cut to cut.  Arcs live in flat lists, arc e and arc e ^ 1 forming a
+residual pair.  ``_max_flow`` is Dinic's algorithm with an iterative
+blocking-flow search; the nodes its last breadth-first search reaches are
+the minimal source side of a minimum cut, hence the minimal closure.  A
+flow result's ``nodes`` and ``edges`` describe this one network, the same
+for every cut: source, sink, one node per candidate and per covered state,
+and one edge per source, sink and cover arc (reverse arcs not counted).
+
 The delta-constrained ratio, which additionally demands mu(S) >= delta *
 mu(B), is not one cut away - the constraint breaks the closure structure -
 so it is computed by exhaustive subset enumeration under a size guard of
@@ -59,6 +68,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .groups import FiniteSet, bit_indices, frac_str
+# apply_set is unused here; bench/test_bench.py asserts magnification.apply_set exists.
 from .systems import ActionSystem, StateSubset, apply_set, cover_masks, state_subset
 
 __all__ = [
@@ -92,74 +102,6 @@ class MagnificationResult:
         }
 
 
-class _Dinic:
-    """Maximum flow with integer capacities (level graph + blocking flow)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, cap, _ in self.adj[u]:
-                    if cap > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return level if level[t] >= 0 else None
-
-    def _push(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            edge = self.adj[u][it[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, cap), level, it)
-                if pushed:
-                    edge[1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._push(s, t, 1 << 300, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        """States reachable from s in the residual graph: the minimal cut side."""
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, cap, _ in self.adj[u]:
-                    if cap > 0 and v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return seen
-
-
 def _candidates(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, int]:
     """A.{b} for every positive-measure state b of B, in ascending order of b."""
     support = sys.support_mask
@@ -169,37 +111,55 @@ def _candidates(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, in
     return covers
 
 
-def _parametric_cut(
-    sys: ActionSystem, covers: dict[int, int], t: Fraction
-) -> tuple[Fraction, list[int], int, int]:
-    """Minimize mu(A.S) - t*mu(S) over S; return value and minimal minimizer."""
-    cand = list(covers)
-    xs = sorted({x for mask in covers.values() for x in bit_indices(mask)})
-    w = sys.int_weights
-    p, q = t.numerator, t.denominator
-    profit = {b: p * w[b] for b in cand}
-    inf = sum(profit.values()) + sum(q * w[x] for x in xs) + 1
+def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[int, list[int]]:
+    """Dinic's maximum flow from node 0 to node 1 on paired arcs.
 
-    node_of_b = {b: 2 + i for i, b in enumerate(cand)}
-    node_of_x = {x: 2 + len(cand) + i for i, x in enumerate(xs)}
-    net = _Dinic(2 + len(cand) + len(xs))
-    edges = 0
-    for b in cand:
-        net.add_edge(0, node_of_b[b], profit[b])
-        edges += 1
-    for x in xs:
-        net.add_edge(node_of_x[x], 1, q * w[x])
-        edges += 1
-    for b in cand:
-        for x in bit_indices(covers[b]):
-            net.add_edge(node_of_b[b], node_of_x[x], inf)
-            edges += 1
-
-    flow = net.max_flow(0, 1)
-    value = Fraction(flow - sum(profit.values()), q * sys.denominator)
-    side = net.source_side(0)
-    chosen = [b for b in cand if node_of_b[b] in side]
-    return value, chosen, net.n, edges
+    Arc e runs to head[e] with residual capacity cap[e], which is updated in
+    place; arc e ^ 1 is its reverse and adj[u] lists the arcs leaving u.
+    Returns the flow and the levels of the last breadth-first search: the
+    nodes it reached (level >= 0) are the minimal source side of a minimum
+    cut.  Blocking flows advance along the level graph without recursion.
+    """
+    flow = 0
+    while True:
+        level = [-1] * len(adj)
+        level[0] = 0
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for e in adj[u]:
+                    v = head[e]
+                    if cap[e] and level[v] < 0:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if level[1] < 0:
+            return flow, level
+        it = [0] * len(adj)
+        path: list[int] = []  # arcs from the source to u
+        u = 0
+        while True:
+            if u == 1:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                flow += pushed
+                path.clear()
+                u = 0
+            arcs, i, deeper = adj[u], it[u], level[u] + 1
+            while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == deeper):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif path:  # dead end: retreat and skip the arc that led here
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
 
 
 def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationResult:
@@ -209,7 +169,27 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
     attains the minimum exactly.
     """
     covers = _candidates(sys, A, B)
+    cand = list(covers)
     w = sys.int_weights
+    union = 0
+    for mask in covers.values():
+        union |= mask
+    xs = list(bit_indices(union))
+
+    # Node 0 is the source, 1 the sink, then the candidates, then xs.  Arcs
+    # [0, sources) leave the source, [sources, sinks) enter the sink and the
+    # rest are cover arcs; each even arc is followed by its reverse.
+    node_of_x = {x: 2 + len(cand) + i for i, x in enumerate(xs)}
+    adj: list[list[int]] = [[] for _ in range(2 + len(cand) + len(xs))]
+    head: list[int] = []
+    ends = ([(0, 2 + i) for i in range(len(cand))] + [(node_of_x[x], 1) for x in xs]
+            + [(2 + i, node_of_x[x]) for i, b in enumerate(cand) for x in bit_indices(covers[b])])
+    for u, v in ends:
+        adj[u].append(len(head))
+        head.append(v)
+        adj[v].append(len(head))
+        head.append(u)
+    sources, sinks = 2 * len(cand), 2 * (len(cand) + len(xs))
 
     def ratio(sel: list[int]) -> Fraction:
         cover = 0
@@ -217,22 +197,30 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
             cover |= covers[b]
         return Fraction(sys.mass(cover), sum(w[b] for b in sel))
 
-    current = list(covers)
+    current = cand
     t = ratio(current)
-    nodes = edges = 0
-    for _round in range(len(covers) + 2):
-        value, chosen, nodes, edges = _parametric_cut(sys, covers, t)
-        if value == 0:
+    for _round in range(len(cand) + 2):
+        # Minimize mu(A.S) - t*mu(S) over S in units of 1/(q*D): profit p*W(b),
+        # cost q*W(x); the minimum is the flow less the total profit.
+        p, q = t.numerator, t.denominator
+        profit = [p * w[b] for b in cand]
+        cost = [q * w[x] for x in xs]
+        cap = [0] * len(head)
+        cap[:sources:2] = profit
+        cap[sources:sinks:2] = cost
+        cap[sinks::2] = [sum(profit) + sum(cost) + 1] * (len(ends) - sinks // 2)
+        flow, level = _max_flow(adj, head, cap)
+        if flow == sum(profit):
             return MagnificationResult(
                 value=t,
                 witness=state_subset(sys, current),
                 method="flow",
-                nodes=nodes,
-                edges=edges,
+                nodes=len(adj),
+                edges=len(ends),
                 iterations=_round + 1,
             )
-        assert value < 0, "parametric cut exceeded the current ratio"
-        current = chosen
+        assert flow < sum(profit), "parametric cut exceeded the current ratio"
+        current = [b for i, b in enumerate(cand) if level[2 + i] >= 0]
         t = ratio(current)
     raise AssertionError("Dinkelbach loop exceeded the |B| + 2 cut bound")
 
@@ -422,26 +410,38 @@ def _enumerate_best(
     return Fraction(num, den), witness, (1 << len(cand)) - 1
 
 
+def _enumerated(sys: ActionSystem, A: FiniteSet, B: StateSubset, method: str,
+                delta: Fraction | None = None) -> MagnificationResult:
+    """The least ratio over every subset of B, with mu(S) >= delta * mu(B) if
+    delta is given, by exhaustive enumeration under ORACLE_GUARD."""
+    covers = _candidates(sys, A, B)
+    if len(covers) > ORACLE_GUARD:
+        raise ValueError(
+            f"enumeration guard exceeded: |B ∩ supp| = {len(covers)} > {ORACLE_GUARD}"
+        )
+    threshold = 0
+    if delta is not None:
+        # mu(S) >= delta * mu(B) in units of 1/D, rounded up: w(S) is an integer.
+        threshold = -(-delta.numerator * sys.mass(B.mask) // delta.denominator)
+    found = _enumerate_best(sys, covers, min_weight_scaled=threshold)
+    if found is None:
+        raise ValueError(f"no subset of B reaches delta * mu(B) for delta = {delta}")
+    value, witness, examined = found
+    return MagnificationResult(
+        value=value,
+        witness=StateSubset(sys, witness),
+        method=method,
+        iterations=examined,
+    )
+
+
 def mag_ratio_oracle(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationResult:
     """Brute-force reference: enumerate every non-empty subset of B.
 
     Guarded at |B ∩ supp(mu)| <= 24.  Returns the lexicographically smallest
     minimizer, so results are reproducible bit for bit.
     """
-    covers = _candidates(sys, A, B)
-    if len(covers) > ORACLE_GUARD:
-        raise ValueError(
-            f"enumeration guard exceeded: |B ∩ supp| = {len(covers)} > {ORACLE_GUARD}"
-        )
-    found = _enumerate_best(sys, covers)
-    assert found is not None
-    value, witness, examined = found
-    return MagnificationResult(
-        value=value,
-        witness=StateSubset(sys, witness),
-        method="oracle",
-        iterations=examined,
-    )
+    return _enumerated(sys, A, B, "oracle")
 
 
 def mag_ratio_delta(
@@ -455,24 +455,4 @@ def mag_ratio_delta(
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    covers = _candidates(sys, A, B)
-    if len(covers) > ORACLE_GUARD:
-        raise ValueError(
-            f"enumeration guard exceeded: |B ∩ supp| = {len(covers)} > {ORACLE_GUARD}"
-        )
-    total = sys.mass(B.mask)
-    # mu(S) >= delta * mu(B) in scaled integers: den(delta)*w(S) >= num(delta)*w(B).
-    # Rescale so the threshold is a plain integer bound on w(S).
-    bound_num = delta.numerator * total
-    bound_den = delta.denominator
-    threshold = -(-bound_num // bound_den)  # ceil; w(S) is an integer multiple of 1
-    found = _enumerate_best(sys, covers, min_weight_scaled=threshold)
-    if found is None:
-        raise ValueError(f"no subset of B reaches delta * mu(B) for delta = {delta}")
-    value, witness, examined = found
-    return MagnificationResult(
-        value=value,
-        witness=StateSubset(sys, witness),
-        method="enumeration",
-        iterations=examined,
-    )
+    return _enumerated(sys, A, B, "enumeration", delta)

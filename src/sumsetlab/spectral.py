@@ -29,6 +29,7 @@ __all__ = [
     "equidist_defect",
     "weyl_defect_window",
     "floor_three_halves",
+    "MAX_THREE_HALVES_LIMIT",
 ]
 
 
@@ -139,8 +140,14 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
     return float(np.abs(sums).max() / arr.size)
 
 
+# The set below limit has about limit^(2/3) members, one Python step each.
+MAX_THREE_HALVES_LIMIT = 10**9
+
+
 def floor_three_halves(limit: int) -> list[int]:
     """The set {floor(n^(3/2)) : n >= 1} ∩ [0, limit), computed exactly."""
+    if limit > MAX_THREE_HALVES_LIMIT:
+        raise ValueError(f"limit {limit} exceeds {MAX_THREE_HALVES_LIMIT}")
     out = []
     n = 1
     while True:

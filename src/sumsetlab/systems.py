@@ -26,7 +26,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .groups import FiniteSet, GroupSpec, bit_indices, frac_str, iterated_sumset
+from .groups import (
+    FiniteSet,
+    GroupSpec,
+    bit_indices,
+    frac_str,
+    iterated_sumset,
+    json_int,
+    json_ints,
+    parse_fraction,
+)
 
 __all__ = [
     "ActionSystem",
@@ -154,9 +163,13 @@ def make_system(
         raise ValueError(
             f"expected {len(group.orders)} generator tables, got {len(tables)}"
         )
+    # Row lengths first: ``states`` is only trusted once a row has that many entries.
+    for j, row in enumerate(tables):
+        if len(row) != states:
+            raise ValueError(f"generator table {j} is not a permutation of the states")
     ident = tuple(range(states))
     for j, row in enumerate(tables):
-        if len(row) != states or sorted(row) != list(ident):
+        if sorted(row) != list(ident):
             raise ValueError(f"generator table {j} is not a permutation of the states")
     for j, row in enumerate(tables):
         if perm_power(row, group.orders[j]) != ident:
@@ -349,10 +362,17 @@ def system_from_json(data: dict) -> ActionSystem:
         if key not in data:
             raise ValueError(f"system JSON is missing '{key}'")
     group = GroupSpec.from_json(data["group"])
-    measure = None
-    if data.get("measure") is not None:
+    states = json_int(data["states"], "system 'states'")
+    action = data["action"]
+    if not isinstance(action, list):
+        raise ValueError("system 'action' must be a list of generator tables")
+    tables = [json_ints(row, f"system 'action' table {j}") for j, row in enumerate(action)]
+    measure = data.get("measure")
+    if measure is not None:
+        if not isinstance(measure, list):
+            raise ValueError("system 'measure' must be a list")
         try:
-            measure = [Fraction(w) for w in data["measure"]]
+            measure = [parse_fraction(w) for w in measure]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad measure entry: {exc}") from None
-    return make_system(group, data["states"], data["action"], measure)
+    return make_system(group, states, tables, measure)

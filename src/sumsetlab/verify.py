@@ -22,17 +22,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .groups import (
     FiniteSet,
     bit_indices,
     finite_set,
     frac_str,
-    full_set,
     group_density,
     iterated_sumset,
     make_group,
@@ -62,7 +60,6 @@ from .zline import (
     finite,
     periodic,
     zdesc,
-    zset_to_json,
     zsumset,
     zsumset_iterated,
 )

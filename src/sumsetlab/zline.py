@@ -29,7 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .groups import json_int, json_ints
+
 __all__ = [
+    "MAX_TAIL_PERIOD",
+    "MAX_SUMSET_WORK",
     "Tail",
     "ZSetDesc",
     "zdesc",
@@ -48,6 +52,12 @@ __all__ = [
 ]
 
 
+# Work on a descriptor grows with its tail periods, and zsumset's scan with its
+# window times the witnesses it tries per point, so both are bounded up front.
+MAX_TAIL_PERIOD = 4096
+MAX_SUMSET_WORK = 1 << 26
+
+
 @dataclass(frozen=True)
 class Tail:
     """One periodic tail: membership at n is (n mod period) in pattern."""
@@ -58,6 +68,8 @@ class Tail:
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError(f"tail period must be >= 1, got {self.period}")
+        if self.period > MAX_TAIL_PERIOD:
+            raise ValueError(f"tail period {self.period} exceeds the limit {MAX_TAIL_PERIOD}")
         pat = frozenset(int(r) for r in self.pattern)
         if any(not 0 <= r < self.period for r in pat):
             raise ValueError("tail pattern must consist of residues in [0, period)")
@@ -136,7 +148,12 @@ def zdesc(
     def left_predicts(x: int) -> bool:
         return lt is not None and (x % lt.period) in lt.pattern
 
-    # Shrink the window wherever the boundary membership matches the tail.
+    # Shrink the window wherever the boundary membership matches the tail; a
+    # missing tail matches every non-member, so that side jumps to the hull.
+    if rt is None:
+        hi = max(members) + 1 if members else lo
+    if lt is None:
+        lo = min(members) if members else hi
     while hi > lo and (hi - 1 in members) == right_predicts(hi - 1):
         members.discard(hi - 1)
         hi -= 1
@@ -242,6 +259,17 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
         raise ValueError("zsumset operands must be non-empty")
     periods = [t.period for t in (A.left, A.right, B.left, B.right) if t is not None]
     P = math.lcm(*periods) if periods else 1
+    if P > MAX_TAIL_PERIOD:
+        raise ValueError(f"lcm of the tail periods {P} exceeds the limit {MAX_TAIL_PERIOD}")
+    lo = A.lo + B.lo - 2 * P
+    hi = A.hi + B.hi + 2 * P
+    # Per window point, ``member`` tries every head member and up to P tail
+    # witnesses on each side where both operands have a tail.
+    tries = len(A.head) + len(B.head) + P * (
+        (A.right is not None and B.right is not None) + (A.left is not None and B.left is not None))
+    if (hi - lo) * max(tries, 1) > MAX_SUMSET_WORK:
+        raise ValueError(f"sumset window of {hi - lo} points with {tries} witnesses each "
+                         f"exceeds the limit {MAX_SUMSET_WORK}")
 
     ra, la = _lift(A.right, P), _lift(A.left, P)
     rb, lb = _lift(B.right, P), _lift(B.left, P)
@@ -254,9 +282,6 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
     left_pat = _residue_sum(la, all_b, P) | _residue_sum(all_a, lb, P)
     # Right tail of one operand against left tail of the other covers all of Z.
     two_sided = _residue_sum(ra, lb, P) | _residue_sum(la, rb, P)
-
-    lo = A.lo + B.lo - 2 * P
-    hi = A.hi + B.hi + 2 * P
 
     def member(x: int) -> bool:
         if x % P in two_sided:
@@ -315,6 +340,8 @@ def zset_from_json(data: dict) -> ZSetDesc:
     if not isinstance(data, dict) or "head" not in data:
         raise ValueError("descriptor JSON must be an object with a 'head' block")
     head = data["head"]
+    if not isinstance(head, dict):
+        raise ValueError("descriptor 'head' must be an object")
     for key in ("lo", "hi", "members"):
         if key not in head:
             raise ValueError(f"descriptor head is missing '{key}'")
@@ -324,7 +351,9 @@ def zset_from_json(data: dict) -> ZSetDesc:
             return None
         if not isinstance(block, dict) or "period" not in block or "pattern" not in block:
             raise ValueError("tail block needs 'period' and 'pattern'")
-        return (block["period"], block["pattern"])
+        return (json_int(block["period"], "tail 'period'"),
+                json_ints(block["pattern"], "tail 'pattern'"))
 
-    return zdesc(head["members"], head["lo"], head["hi"],
+    return zdesc(json_ints(head["members"], "head 'members'"),
+                 json_int(head["lo"], "head 'lo'"), json_int(head["hi"], "head 'hi'"),
                  tail(data.get("left")), tail(data.get("right")))

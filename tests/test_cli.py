@@ -354,3 +354,60 @@ def test_equidist_bad_frequency(capsys):
     code, _, err = run(capsys, "equidist", "--window", "16", "--A", "0,1",
                        "--freqs", "0/1")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit 2 at the JSON boundary and before unbounded loops
+
+_SYSTEM = {"group": {"orders": [2]}, "states": 2, "action": [[1, 0]]}
+_DESC = {"head": {"lo": 0, "hi": 1, "members": [0]}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"states": "2"}, "'states' must be an integer"),
+    ({"states": True}, "'states' must be an integer"),
+    ({"action": 5}, "'action' must be a list"),
+    ({"action": [[1.5, 0]]}, "table 0 must be a list of integers"),
+    ({"measure": 3}, "'measure' must be a list"),
+    ({"measure": [0.5, 0.5]}, "bad measure entry"),
+    ({"measure": ["1e999999999", "0"]}, "bad measure entry"),
+    ({"states": 10**9, "action": [[0]]}, "not a permutation of the states"),
+])
+def test_magratio_rejects_malformed_system_json(capsys, tmp_path, change, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({**_SYSTEM, **change}))
+    code, _, err = run(capsys, "magratio", "--system", str(path), "--A", "0", "--B", "0")
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"head": {"lo": "0", "hi": 1, "members": [0]}}, "'lo' must be an integer"),
+    ({"head": {"lo": 0, "hi": 1, "members": 5}}, "'members' must be a list"),
+    ({"head": 5}, "'head' must be an object"),
+    ({**_DESC, "right": {"period": 3, "pattern": 7}}, "'pattern' must be a list"),
+    ({**_DESC, "right": {"period": 3.5, "pattern": [0]}}, "'period' must be an integer"),
+])
+def test_density_rejects_malformed_descriptor_json(capsys, tmp_path, desc, message):
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(desc))
+    code, _, err = run(capsys, "density", "--desc", str(path))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+def test_size_guards_reject_before_looping(capsys, tmp_path):
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({**_DESC, "right": {"period": 10**8, "pattern": [0]}}))
+    for argv, message in [
+        (("density", "--period", str(10**12), "--pattern", "0"), "exceeds the limit 4096"),
+        (("correspond", "--desc", str(far), "--A", "0,1"), "exceeds the limit 4096"),
+        (("correspond", "--period", "6", "--pattern", "0", "--A", f"0,{10**12}"),
+         "sumset window"),
+        (("equidist", "--window", str(10**12), "--three-halves"), "exceeds 1000000000"),
+        (("magratio", "--group", "8", "--A", "0,1", "--B", "0,4", "--delta", "1e999999999"),
+         "not a rational"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and message in err, argv

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sumsetlab import (
     ORACLE_GUARD,
     apply_set,
+    disjoint_union,
     finite_set,
     full_set,
     mag_ratio,
@@ -24,7 +25,7 @@ from sumsetlab import (
     regular_system,
     state_subset,
 )
-from sumsetlab.groups import bit_indices
+from sumsetlab.groups import bit_indices, frac_str
 from sumsetlab.magnification import _enumerate_best, _least_ratio, first_subset_within
 from sumsetlab.systems import ActionSystem, cover_masks
 
@@ -392,3 +393,170 @@ def test_first_subset_within_matches_a_loop():
                 expected = pick
                 break
         assert first_subset_within(sysm, covers, weights, bound, base, 1) == expected
+
+
+# ---------------------------------------------------------------------------
+# the closure network against the per-cut object graph it replaced
+
+
+class ReferenceDinic:
+    """Maximum flow with integer capacities (level graph + blocking flow)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+
+    def add_edge(self, u: int, v: int, cap: int) -> None:
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        level = [-1] * self.n
+        level[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, cap, _ in self.adj[u]:
+                    if cap > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return level if level[t] >= 0 else None
+
+    def _push(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
+        if u == t:
+            return limit
+        while it[u] < len(self.adj[u]):
+            edge = self.adj[u][it[u]]
+            v, cap, rev = edge
+            if cap > 0 and level[v] == level[u] + 1:
+                pushed = self._push(v, t, min(limit, cap), level, it)
+                if pushed:
+                    edge[1] -= pushed
+                    self.adj[v][rev][1] += pushed
+                    return pushed
+            it[u] += 1
+        return 0
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = self._levels(s, t)
+            if level is None:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._push(s, t, 1 << 300, level, it)
+                if not pushed:
+                    break
+                flow += pushed
+
+    def source_side(self, s: int) -> set[int]:
+        """States reachable from s in the residual graph: the minimal cut side."""
+        seen = {s}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, cap, _ in self.adj[u]:
+                    if cap > 0 and v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        return seen
+
+
+def reference_parametric_cut(sys, covers, t):
+    """Minimize mu(A.S) - t*mu(S) over S; return value and minimal minimizer."""
+    cand = list(covers)
+    xs = sorted({x for mask in covers.values() for x in bit_indices(mask)})
+    w = sys.int_weights
+    p, q = t.numerator, t.denominator
+    profit = {b: p * w[b] for b in cand}
+    inf = sum(profit.values()) + sum(q * w[x] for x in xs) + 1
+
+    node_of_b = {b: 2 + i for i, b in enumerate(cand)}
+    node_of_x = {x: 2 + len(cand) + i for i, x in enumerate(xs)}
+    net = ReferenceDinic(2 + len(cand) + len(xs))
+    edges = 0
+    for b in cand:
+        net.add_edge(0, node_of_b[b], profit[b])
+        edges += 1
+    for x in xs:
+        net.add_edge(node_of_x[x], 1, q * w[x])
+        edges += 1
+    for b in cand:
+        for x in bit_indices(covers[b]):
+            net.add_edge(node_of_b[b], node_of_x[x], inf)
+            edges += 1
+
+    flow = net.max_flow(0, 1)
+    value = Fraction(flow - sum(profit.values()), q * sys.denominator)
+    side = net.source_side(0)
+    chosen = [b for b in cand if node_of_b[b] in side]
+    return value, chosen, net.n, edges
+
+
+def reference_mag_ratio(sys, A, B):
+    covers = {b: mask for b, mask in cover_masks(sys, A, B).items()
+              if sys.support_mask >> b & 1}
+    w = sys.int_weights
+
+    def ratio(sel):
+        cover = 0
+        for b in sel:
+            cover |= covers[b]
+        return Fraction(sys.mass(cover), sum(w[b] for b in sel))
+
+    current = list(covers)
+    t = ratio(current)
+    nodes = edges = 0
+    for _round in range(len(covers) + 2):
+        value, chosen, nodes, edges = reference_parametric_cut(sys, covers, t)
+        if value == 0:
+            return {"value": frac_str(t), "witness": list(bit_indices(sum(1 << b for b in current))),
+                    "method": "flow", "nodes": nodes, "edges": edges,
+                    "iterations": _round + 1}
+        assert value < 0
+        current = chosen
+        t = ratio(current)
+    raise AssertionError("Dinkelbach loop exceeded the |B| + 2 cut bound")
+
+
+def flow_cases():
+    rng = random.Random(19701)
+    for trial in range(150):
+        n = rng.choice([6, 8, 12, 16, 30])
+        group = make_group([n])
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        kind = trial % 4
+        if kind == 0:
+            sysm = regular_system(group)
+        elif kind == 1:
+            sysm = quotient_system(group, [rng.choice(divisors)])
+        else:
+            sysm = disjoint_union(quotient_system(group, [rng.choice(divisors)]),
+                                  quotient_system(group, [rng.choice(divisors)]),
+                                  Fraction(rng.randint(1, 6), 7))
+            if kind == 3:  # capacities far past int64
+                sysm = reweighted(sysm, [rng.randrange(1, 1 << 60) for _ in range(sysm.states)])
+        A = finite_set(group, rng.sample(range(n), rng.randint(1, min(n, 5))))
+        B = state_subset(sysm, rng.sample(range(sysm.states), rng.randint(1, sysm.states)))
+        yield sysm, A, B
+    # The benchmark's flow systems, at its sizes.
+    for orders in ([32, 32], [1024]):
+        group = make_group(orders)
+        sysm = regular_system(group)
+        for size in (6, 12):
+            yield (sysm, finite_set(group, rng.sample(range(1024), size)),
+                   state_subset(sysm, rng.sample(range(1024), 256)))
+
+
+def test_closure_network_matches_the_per_cut_graph():
+    cuts = []
+    for sysm, A, B in flow_cases():
+        got = mag_ratio(sysm, A, B).to_json()
+        assert got == reference_mag_ratio(sysm, A, B)
+        cuts.append(got["iterations"])
+    assert max(cuts) >= 3 and cuts.count(3) + cuts.count(4) >= 5

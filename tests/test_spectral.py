@@ -28,6 +28,8 @@ from sumsetlab import (
     weyl_defect_window,
 )
 
+from sumsetlab.spectral import MAX_THREE_HALVES_LIMIT
+
 from conftest import groups, sets_in
 
 TRANSFORM_TOL = 1e-9
@@ -242,3 +244,9 @@ def test_floor_three_halves_prefix():
     values = floor_three_halves(10**4)
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values == sorted(math.isqrt(n**3) for n in range(1, len(values) + 1))
+
+
+def test_floor_three_halves_limit_is_bounded():
+    assert len(floor_three_halves(4_000_000)) == 25198
+    with pytest.raises(ValueError, match="exceeds"):
+        floor_three_halves(MAX_THREE_HALVES_LIMIT + 1)

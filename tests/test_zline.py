@@ -24,6 +24,8 @@ from sumsetlab import (
     zsumset_iterated,
 )
 
+from sumsetlab.zline import MAX_SUMSET_WORK, MAX_TAIL_PERIOD, Tail
+
 from conftest import zdescs
 
 EVENS = periodic(2, [0])
@@ -190,3 +192,27 @@ def test_zdesc_validation():
         periodic(0, [0])
     with pytest.raises(ValueError):
         periodic(3, [4])  # residue outside period
+
+
+def test_guards_accept_the_largest_workload_draws_and_reject_beyond():
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        Tail(MAX_TAIL_PERIOD + 1, frozenset({0}))
+    assert Tail(MAX_TAIL_PERIOD, frozenset({0})).period == MAX_TAIL_PERIOD
+    # Widest heads and largest lcm P = 2000 of the benchmark's integer-line draws:
+    # a window of 80 + 4P points with 80 + 2P witnesses each.
+    wide = zdesc(range(0, 40), 0, 40, (2000, [1]), (2000, [3]))
+    assert (80 + 4 * 2000) * (80 + 2 * 2000) <= MAX_SUMSET_WORK
+    assert zsumset(wide, shift(wide, 1)).right.period == 2000
+    with pytest.raises(ValueError, match="lcm of the tail periods"):
+        zsumset(periodic(4095, [0]), periodic(4096, [0]))
+    with pytest.raises(ValueError, match="sumset window"):
+        zsumset(finite([0, 10**12]), EVENS)
+    with pytest.raises(ValueError, match="sumset window"):
+        zsumset(finite(range(0, 12000, 2)), finite(range(0, 12000, 2)))
+
+
+def test_absent_tail_shrinks_a_huge_head_window_at_once():
+    S = zdesc([5], 0, 10**15)
+    assert (S.lo, S.hi) == (5, 6)
+    S = zdesc([5], -10**15, 10**15, left=(3, [0]))
+    assert S.hi == 6 and S.lo > -10**15
