@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import finite_set, frac_str, make_group
+from .groups import bit_indices, finite_set, frac_str, make_group
 from .systems import ActionSystem, StateSubset, apply_set, make_system, measure_of, state_subset
 from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
 
@@ -111,14 +111,18 @@ class CorrespondenceReport:
 
 
 def _canonical_rotation(period: int, pattern: frozenset[int]) -> frozenset[int]:
+    """The rotation whose sorted residues are lexicographically least.
+
+    Between two rotations that one wins whose lowest differing residue it
+    holds, so with residue r stored at bit period - 1 - r it is the rotation
+    with the largest mask.
+    """
     if not pattern:
         return pattern
-    best = None
-    for s in range(period):
-        rotated = tuple(sorted((r + s) % period for r in pattern))
-        if best is None or rotated < best:
-            best = rotated
-    return frozenset(best)
+    g = make_group([period])
+    flipped = sum(1 << (period - 1 - r) for r in pattern)
+    best = max(g.translate_mask(flipped, s) for s in range(period))
+    return frozenset(period - 1 - r for r in bit_indices(best))
 
 
 def _limit_orbit(side: str, tail: Tail | None) -> LimitOrbit:

@@ -38,6 +38,7 @@ from .groups import (
 )
 
 __all__ = [
+    "MAX_STATES",
     "ActionSystem",
     "StateSubset",
     "make_system",
@@ -57,6 +58,15 @@ __all__ = [
     "system_to_json",
     "system_from_json",
 ]
+
+
+# Each generator table holds one entry per state, so the count is bounded first.
+MAX_STATES = 1 << 16
+
+
+def _check_state_count(states: int) -> None:
+    if states > MAX_STATES:
+        raise ValueError(f"state count {states} exceeds the limit {MAX_STATES}")
 
 
 def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
@@ -167,6 +177,7 @@ def make_system(
     for j, row in enumerate(tables):
         if len(row) != states:
             raise ValueError(f"generator table {j} is not a permutation of the states")
+    _check_state_count(states)
     ident = tuple(range(states))
     for j, row in enumerate(tables):
         if sorted(row) != list(ident):
@@ -301,6 +312,7 @@ def is_ergodic_basis(sys: ActionSystem, A: FiniteSet, k: int) -> bool:
 def regular_system(group: GroupSpec) -> ActionSystem:
     """The group acting on itself by translation, with uniform measure."""
     n = group.cardinality
+    _check_state_count(n)
     tables = []
     for j in range(len(group.orders)):
         e = group.generator(j)
@@ -320,6 +332,7 @@ def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSys
     for n, m in zip(group.orders, target.orders):
         if n % m:
             raise ValueError(f"target order {m} does not divide factor order {n}")
+    _check_state_count(target.cardinality)
     tables = []
     for j in range(len(group.orders)):
         if target.orders[j] == 1:

@@ -20,6 +20,12 @@ window_density and are estimates, not certificates.
 Normal form: tails are reduced to their minimal period, empty tails are
 stored as None, and the head window is shrunk until its endpoints disagree
 with the adjacent tail, so equal descriptors compare equal as dataclasses.
+
+Sumsets reuse the finite-group bitmasks: tails become residue masks on Z/P,
+whose sumsets are ``groups.sumset``, and the head window is one shift-OR of
+the operands cut to ranges that every witness slides into by P (see
+``zsumset``).  ``MAX_SUMSET_SPAN`` bounds the cuts and ``MAX_SUMSET_WORK``
+the shift-OR.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import json_int, json_ints
+from .groups import FiniteSet, bit_indices, json_int, json_ints, make_group, sumset
 
 __all__ = [
     "MAX_TAIL_PERIOD",
+    "MAX_SUMSET_SPAN",
     "MAX_SUMSET_WORK",
     "Tail",
     "ZSetDesc",
@@ -52,10 +59,11 @@ __all__ = [
 ]
 
 
-# Work on a descriptor grows with its tail periods, and zsumset's scan with its
-# window times the witnesses it tries per point, so both are bounded up front.
+# Work on a descriptor grows with its tail periods; zsumset's with its longer cut
+# operand (the span) and with the span times the set bits of the sparser cut.
 MAX_TAIL_PERIOD = 4096
-MAX_SUMSET_WORK = 1 << 26
+MAX_SUMSET_SPAN = 1 << 17
+MAX_SUMSET_WORK = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -80,13 +88,22 @@ class Tail:
         return Fraction(len(self.pattern), self.period)
 
 
+def _tail_mask(tail: Tail | None, start: int, length: int) -> int:
+    """Bit i is set iff start + i lies in the tail pattern, for 0 <= i < length."""
+    if tail is None or length <= 0:
+        return 0
+    p = tail.period
+    base = sum(1 << ((r - start) % p) for r in tail.pattern)
+    copies = -(-length // p)
+    return base * (((1 << copies * p) - 1) // ((1 << p) - 1)) & ((1 << length) - 1)
+
+
 def _reduce_tail(tail: Tail) -> Tail:
-    """Rewrite a tail over its minimal period."""
+    """Rewrite a tail over its minimal period: the least d whose rotation fixes it."""
     p, pat = tail.period, tail.pattern
-    for d in range(1, p + 1):
-        if p % d:
-            continue
-        if {(r + d) % p for r in pat} == set(pat):
+    g, mask = make_group([p]), _tail_mask(tail, 0, p)
+    for d in range(1, p):
+        if p % d == 0 and g.translate_mask(mask, d) == mask:
             return Tail(d, frozenset(r % d for r in pat))
     return tail
 
@@ -233,27 +250,25 @@ def window_density(S: ZSetDesc, lo: int, hi: int) -> Fraction:
     return Fraction(sum(1 for n in range(lo, hi) if zcontains(S, n)), hi - lo)
 
 
-def _lift(tail: Tail | None, P: int) -> frozenset[int]:
-    """Residues mod P whose reduction lies in the tail pattern."""
-    if tail is None:
-        return frozenset()
-    return frozenset(r for r in range(P) if (r % tail.period) in tail.pattern)
-
-
-def _residue_sum(U: frozenset[int], V: frozenset[int], P: int) -> frozenset[int]:
-    return frozenset((u + v) % P for u in U for v in V)
+def _indicator(S: ZSetDesc, lo: int, length: int) -> int:
+    """S on [lo, lo + length) as a bitmask, bit i standing for lo + i; the head must fit."""
+    left = _tail_mask(S.left, lo, S.lo - lo)
+    right = _tail_mask(S.right, S.hi, lo + length - S.hi) << (S.hi - lo)
+    return left | right | sum(1 << (x - lo) for x in S.head)
 
 
 def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
     """The exact sumset A + B of two eventually periodic sets.
 
-    Tail periods of the result divide the lcm P of the input tail periods.
-    The head window is [A.lo + B.lo - 2P, A.hi + B.hi + 2P): beyond it any
-    witness pair (a, b) has both coordinates in tail regions, and sliding a
-    witness by P preserves both memberships, so membership there is given by
-    the residue patterns alone.  Inside the window, membership is decided by
-    scanning the finitely many candidate witnesses after the same P-sliding
-    normalization.
+    Tail periods of the result divide the lcm P of the input tail periods,
+    and its tail patterns are sumsets on Z/P of the tails' residue masks.
+    A witness a + b = x of a point of the head window [A.lo + B.lo - 2P,
+    A.hi + B.hi + 2P) slides by P (tail memberships are P-periodic) until a
+    lies in [A.lo - 3P - w_B, A.hi + 3P + w_B) and b in the like range around
+    B, w_A and w_B being the head widths; so the window is read off one
+    shift-OR of the operands cut to those ranges.  ``MAX_SUMSET_SPAN`` bounds
+    the longer cut before any mask is built, ``MAX_SUMSET_WORK`` the shift-OR:
+    the longer cut times the set bits of the sparser one.
     """
     if is_empty(A) or is_empty(B):
         raise ValueError("zsumset operands must be non-empty")
@@ -261,56 +276,38 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
     P = math.lcm(*periods) if periods else 1
     if P > MAX_TAIL_PERIOD:
         raise ValueError(f"lcm of the tail periods {P} exceeds the limit {MAX_TAIL_PERIOD}")
-    lo = A.lo + B.lo - 2 * P
-    hi = A.hi + B.hi + 2 * P
-    # Per window point, ``member`` tries every head member and up to P tail
-    # witnesses on each side where both operands have a tail.
-    tries = len(A.head) + len(B.head) + P * (
-        (A.right is not None and B.right is not None) + (A.left is not None and B.left is not None))
-    if (hi - lo) * max(tries, 1) > MAX_SUMSET_WORK:
-        raise ValueError(f"sumset window of {hi - lo} points with {tries} witnesses each "
+    wa, wb = A.hi - A.lo, B.hi - B.lo
+    a_lo, a_len = A.lo - 3 * P - wb, wa + 6 * P + 2 * wb
+    b_lo, b_len = B.lo - 3 * P - wa, wb + 6 * P + 2 * wa
+    span = max(a_len, b_len)
+    if span > MAX_SUMSET_SPAN:
+        raise ValueError(f"sumset window of {span} points exceeds the limit {MAX_SUMSET_SPAN}")
+    sparse, dense = sorted((_indicator(A, a_lo, a_len), _indicator(B, b_lo, b_len)),
+                           key=int.bit_count)
+    shifts = sparse.bit_count()
+    if span * shifts > MAX_SUMSET_WORK:
+        raise ValueError(f"sumset window of {span} points shifted {shifts} times "
                          f"exceeds the limit {MAX_SUMSET_WORK}")
+    total = 0  # bit k stands for a_lo + b_lo + k
+    for i in bit_indices(sparse):
+        total |= dense << i
+    lo, hi = A.lo + B.lo - 2 * P, A.hi + B.hi + 2 * P
+    window = (total >> (lo - a_lo - b_lo)) & ((1 << (hi - lo)) - 1)
 
-    ra, la = _lift(A.right, P), _lift(A.left, P)
-    rb, lb = _lift(B.right, P), _lift(B.left, P)
-    head_res_a = frozenset(h % P for h in A.head)
-    head_res_b = frozenset(h % P for h in B.head)
-    all_a = ra | la | head_res_a
-    all_b = rb | lb | head_res_b
+    g = make_group([P])
 
-    right_pat = _residue_sum(ra, all_b, P) | _residue_sum(all_a, rb, P)
-    left_pat = _residue_sum(la, all_b, P) | _residue_sum(all_a, lb, P)
-    # Right tail of one operand against left tail of the other covers all of Z.
-    two_sided = _residue_sum(ra, lb, P) | _residue_sum(la, rb, P)
+    def cyclic_sum(u: int, v: int) -> int:
+        return sumset(FiniteSet(g, u), FiniteSet(g, v)).mask if u and v else 0
 
-    def member(x: int) -> bool:
-        if x % P in two_sided:
-            return True
-        for a in A.head:
-            if zcontains(B, x - a):
-                return True
-        for b in B.head:
-            if zcontains(A, x - b):
-                return True
-        if A.right is not None and B.right is not None:
-            pa, qa = A.right.period, A.right.pattern
-            pb, qb = B.right.period, B.right.pattern
-            top = min(A.hi + P, x - B.hi + 1)
-            for a in range(A.hi, top):
-                if a % pa in qa and (x - a) % pb in qb:
-                    return True
-        if A.left is not None and B.left is not None:
-            pa, qa = A.left.period, A.left.pattern
-            pb, qb = B.left.period, B.left.pattern
-            bottom = max(A.lo - P, x - B.lo + 1)
-            for a in range(bottom, A.lo):
-                if a % pa in qa and (x - a) % pb in qb:
-                    return True
-        return False
-
-    members = [x for x in range(lo, hi) if member(x)]
-    return zdesc(members, lo, hi, (P, left_pat) if left_pat else None,
-                 (P, right_pat) if right_pat else None)
+    ra, la = _tail_mask(A.right, 0, P), _tail_mask(A.left, 0, P)
+    rb, lb = _tail_mask(B.right, 0, P), _tail_mask(B.left, 0, P)
+    all_a = ra | la | sum(1 << r for r in {h % P for h in A.head})
+    all_b = rb | lb | sum(1 << r for r in {h % P for h in B.head})
+    right_pat = cyclic_sum(ra, all_b) | cyclic_sum(all_a, rb)
+    left_pat = cyclic_sum(la, all_b) | cyclic_sum(all_a, lb)
+    return zdesc((lo + i for i in bit_indices(window)), lo, hi,
+                 (P, bit_indices(left_pat)) if left_pat else None,
+                 (P, bit_indices(right_pat)) if right_pat else None)
 
 
 def zsumset_iterated(A: ZSetDesc, k: int) -> ZSetDesc:

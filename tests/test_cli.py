@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -411,3 +412,33 @@ def test_size_guards_reject_before_looping(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:") and message in err, argv
+
+
+@pytest.mark.parametrize("order", [1 << 18, 1 << 20])
+def test_magratio_state_count_is_bounded(capsys, order):
+    # The regular system of Z/2^18 took seconds and ~100 MiB before the bound.
+    start = time.perf_counter()
+    code, _, err = run(capsys, "magratio", "--group", str(order), "--A", "0,1", "--B", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:") and f"state count {order} exceeds the limit 65536" in err
+
+
+def test_magratio_accepts_the_largest_state_count(capsys):
+    code, out, _ = run(capsys, "magratio", "--group", "65536", "--A", "0,1", "--B", "0")
+    assert code == 0
+    assert out.startswith("2/1, witness [0]")
+
+
+def test_sumset_zline_pair_just_past_the_work_bound(capsys, tmp_path):
+    # range(K) + range(K) cuts each operand to 3K + 6 points with K of them
+    # set, so the shift-OR's work crosses MAX_SUMSET_WORK between K = 9458 and 9459.
+    for k, code_want in [(9458, 0), (9459, 2)]:
+        path = tmp_path / f"dense{k}.json"
+        path.write_text(json.dumps(zset_to_json(zdesc(range(k)))))
+        code, out, err = run(capsys, "sumset", "--zdesc-a", str(path), "--zdesc-b", str(path))
+        assert code == code_want, k
+        if code == 0:
+            assert json.loads(out.splitlines()[0])["head"]["hi"] == 2 * k - 1
+        else:
+            assert err.startswith("error:") and f"shifted {k} times exceeds the limit" in err

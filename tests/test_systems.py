@@ -28,7 +28,7 @@ from sumsetlab import (
     system_to_json,
 )
 
-from sumsetlab.systems import ActionSystem, cover_masks, perm_power
+from sumsetlab.systems import MAX_STATES, ActionSystem, cover_masks, perm_power
 
 from conftest import sets_in, system_instances, systems
 
@@ -330,3 +330,16 @@ def test_homomorphism_property_of_the_action(data):
 @given(systems())
 def test_system_json_round_trip_property(sysm):
     assert system_from_json(system_to_json(sysm)) == sysm
+
+
+def test_state_count_is_bounded_before_tables_are_built():
+    big = make_group([2 * MAX_STATES])
+    message = f"state count {2 * MAX_STATES} exceeds the limit {MAX_STATES}"
+    with pytest.raises(ValueError, match=message):
+        regular_system(big)
+    with pytest.raises(ValueError, match=message):
+        quotient_system(big, [2 * MAX_STATES])
+    assert quotient_system(big, [MAX_STATES]).states == MAX_STATES
+    n = MAX_STATES + 1
+    with pytest.raises(ValueError, match=f"state count {n} exceeds"):
+        make_system(make_group([n]), n, [list(range(1, n)) + [0]])

@@ -24,7 +24,7 @@ from sumsetlab import (
     zsumset_iterated,
 )
 
-from sumsetlab.zline import MAX_SUMSET_WORK, MAX_TAIL_PERIOD, Tail
+from sumsetlab.zline import MAX_SUMSET_SPAN, MAX_SUMSET_WORK, MAX_TAIL_PERIOD, Tail
 
 from conftest import zdescs
 
@@ -198,17 +198,25 @@ def test_guards_accept_the_largest_workload_draws_and_reject_beyond():
     with pytest.raises(ValueError, match="exceeds the limit"):
         Tail(MAX_TAIL_PERIOD + 1, frozenset({0}))
     assert Tail(MAX_TAIL_PERIOD, frozenset({0})).period == MAX_TAIL_PERIOD
-    # Widest heads and largest lcm P = 2000 of the benchmark's integer-line draws:
-    # a window of 80 + 4P points with 80 + 2P witnesses each.
+    # Widest heads (40) and largest lcm P = 2000 of the benchmark's integer-line
+    # draws: each operand is cut to 40 + 6P + 80 points, and the bound holds even
+    # if every point of the sparser cut were set.
+    span = 40 + 6 * 2000 + 80
+    assert span <= MAX_SUMSET_SPAN and span * span <= MAX_SUMSET_WORK
     wide = zdesc(range(0, 40), 0, 40, (2000, [1]), (2000, [3]))
-    assert (80 + 4 * 2000) * (80 + 2 * 2000) <= MAX_SUMSET_WORK
     assert zsumset(wide, shift(wide, 1)).right.period == 2000
     with pytest.raises(ValueError, match="lcm of the tail periods"):
         zsumset(periodic(4095, [0]), periodic(4096, [0]))
     with pytest.raises(ValueError, match="sumset window"):
         zsumset(finite([0, 10**12]), EVENS)
-    with pytest.raises(ValueError, match="sumset window"):
-        zsumset(finite(range(0, 12000, 2)), finite(range(0, 12000, 2)))
+    # finite([0, n]) + {0} cuts {0} to 2n + 9 points; the span bound sits at n = 65531.
+    assert zsumset(finite([0, 65531]), finite([0])) == finite([0, 65531])
+    with pytest.raises(ValueError, match=f"131073 points exceeds the limit {MAX_SUMSET_SPAN}"):
+        zsumset(finite([0, 65532]), finite([0]))
+    # range(K) + range(K) cuts both to 3K + 6 points with K set: K = 9458 is the last within.
+    assert zsumset(finite(range(9458)), finite(range(9458))) == finite(range(2 * 9457 + 1))
+    with pytest.raises(ValueError, match="shifted 9459 times"):
+        zsumset(finite(range(9459)), finite(range(9459)))
 
 
 def test_absent_tail_shrinks_a_huge_head_window_at_once():
