@@ -17,8 +17,8 @@ With t = p/q in lowest terms and the system's integer weights W over their
 common denominator D (mu(x) = W(x)/D), every capacity is an integer over
 the one scale q*D: profit p*W(b), cost q*W(x).  The flow computation runs
 on exact integers; no floating point enters this module.  The arcs are the
-masks A.{b} from ``systems.cover_masks``, whose element permutations are
-generator powers raised by repeated squaring.
+masks A.{b} from ``systems.cover_masks``, which moves each b along the
+generators' cycles.
 A Dinkelbach outer loop drives the parameter t: starting from the ratio of
 B itself, each cut either certifies that no subset beats t (parametric
 minimum exactly zero) or returns the minimal closure, a subset of strictly

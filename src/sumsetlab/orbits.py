@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .groups import bit_indices, finite_set, frac_str, make_group
-from .systems import ActionSystem, StateSubset, apply_set, make_system, measure_of, state_subset
+from .systems import ActionSystem, StateSubset, apply_set, measure_of, regular_system, state_subset
 from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
 
 __all__ = [
@@ -131,12 +131,7 @@ def _limit_orbit(side: str, tail: Tail | None) -> LimitOrbit:
     else:
         # Tails arrive minimal-period reduced from the descriptor normal form.
         period, pattern = tail.period, _canonical_rotation(tail.period, tail.pattern)
-    group = make_group([period])
-    if period == 1:
-        table = [[0]]
-    else:
-        table = [[(x + 1) % period for x in range(period)]]
-    system = make_system(group, period, table)
+    system = regular_system(make_group([period]))
     return LimitOrbit(side, period, pattern, system, state_subset(system, pattern))
 
 

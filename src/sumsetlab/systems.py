@@ -1,13 +1,14 @@
 """Finite measure-preserving actions of finite abelian groups.
 
 A system is a finite state set, one permutation per cyclic generator of the
-acting group, and an exact rational invariant probability measure.  The
-permutation of an arbitrary element is composed lazily from generator
-powers, each raised by repeated squaring (O(states * log order), no
-recursion), and memoized per element.  Validation proves the action is well
-defined: each generator permutation has the order of its factor and all
-generators commute, which is exactly the presentation of the group, so the
-homomorphism property for all pairs follows rather than being spot-checked.
+acting group, and an exact rational invariant probability measure.  Each
+generator permutation is stored as its cycles, so an element with digits
+d_j moves a state d_j places along its generator-j cycle for each j, and
+acting A on B costs |A| * |B| * (factors) lookups.  Validation proves the
+action is well defined: each generator's cycle lengths divide the order of
+its factor and all generators commute, which is exactly the presentation of
+the group, so the homomorphism property for all pairs follows rather than
+being spot-checked.
 
 The measure is kept as integer weights over their least common denominator
 D, so measuring a state set is one integer sum.  Pushing states through a
@@ -21,9 +22,10 @@ when the support of the measure is a single orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable
 
 from .groups import (
@@ -45,7 +47,6 @@ __all__ = [
     "state_subset",
     "full_states",
     "measure_of",
-    "perm_power",
     "cover_masks",
     "apply_set",
     "orbits",
@@ -69,21 +70,18 @@ def _check_state_count(states: int) -> None:
         raise ValueError(f"state count {states} exceeds the limit {MAX_STATES}")
 
 
-def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation x -> outer[inner[x]]."""
-    return tuple(map(outer.__getitem__, inner))
-
-
-def perm_power(perm: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """perm composed with itself d >= 0 times, by repeated squaring."""
-    out = tuple(range(len(perm)))
-    while d:
-        if d & 1:
-            out = _compose(perm, out)
-        d >>= 1
-        if d:
-            perm = _compose(perm, perm)
-    return out
+def _cycle_table(row: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
+    """Each state's cycle under ``row`` and its place in it.  A walk stops at a
+    state it has already placed, so a row that is no permutation cannot loop."""
+    cycle: list = [None] * len(row)
+    place = [0] * len(row)
+    for start in range(len(row)):
+        members, x = [], start
+        while cycle[x] is None:
+            cycle[x], place[x] = members, len(members)
+            members.append(x)
+            x = row[x]
+    return cycle, place
 
 
 @dataclass(frozen=True)
@@ -92,21 +90,23 @@ class ActionSystem:
     states: int
     generators: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
-    _perms: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def elem_perm(self, g: int) -> tuple[int, ...]:
-        """The permutation of states induced by the group element g."""
-        perm = self._perms.get(g)
-        if perm is None:
-            perm = tuple(range(self.states))
-            for gen, d in zip(self.generators, self.group.digits(g)):
-                if d:
-                    perm = _compose(perm_power(gen, d), perm)
-            self._perms[g] = perm
-        return perm
+    @cached_property
+    def cycles(self) -> tuple[tuple[list[list[int]], list[int]], ...]:
+        """Per generator, each state's cycle and its place in that cycle."""
+        return tuple(_cycle_table(row) for row in self.generators)
+
+    def _steps(self, g: int) -> tuple[tuple[list[list[int]], list[int], int], ...]:
+        """(cycle, place, d) for each generator j whose digit d_j of g is nonzero."""
+        return tuple((cycle, place, d) for (cycle, place), d
+                     in zip(self.cycles, self.group.digits(g)) if d)
 
     def apply(self, g: int, x: int) -> int:
-        return self.elem_perm(g)[x]
+        """The state g.x: x moved d_j places along its generator-j cycle for each j."""
+        for cycle, place, d in self._steps(g):
+            members = cycle[x]
+            x = members[(place[x] + d) % len(members)]
+        return x
 
     @cached_property
     def denominator(self) -> int:
@@ -183,7 +183,7 @@ def make_system(
         if sorted(row) != list(ident):
             raise ValueError(f"generator table {j} is not a permutation of the states")
     for j, row in enumerate(tables):
-        if perm_power(row, group.orders[j]) != ident:
+        if any(group.orders[j] % len(members) for members in _cycle_table(row)[0]):
             raise ValueError(
                 f"generator table {j} does not have order dividing {group.orders[j]}; "
                 "the action is not a homomorphism"
@@ -240,12 +240,25 @@ def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, in
     if A.mask == 0:
         raise ValueError("acting set must be non-empty")
     _check_subset(sys, B)
-    perms = [sys.elem_perm(a) for a in A]
+    # Generators commute, so the first factor's step may come last.  A is in
+    # ascending order, so its elements with equal higher digits are adjacent:
+    # their higher steps are taken once per point, then one lookup per element.
+    n0 = sys.group.orders[0]
+    plan = [(sys._steps(high * n0), [a % n0 for a in run])
+            for high, run in groupby(A, lambda a: a // n0)]
+    cycle0, place0 = sys.cycles[0]
     out = {}
     for x in bit_indices(B.mask):
         mask = 0
-        for perm in perms:
-            mask |= 1 << perm[x]
+        for high, firsts in plan:
+            y = x
+            for cycle, place, d in high:
+                members = cycle[y]
+                y = members[(place[y] + d) % len(members)]
+            members, p = cycle0[y], place0[y]
+            n = len(members)
+            for d in firsts:
+                mask |= 1 << members[(p + d) % n]
         out[x] = mask
     return out
 
@@ -311,13 +324,7 @@ def is_ergodic_basis(sys: ActionSystem, A: FiniteSet, k: int) -> bool:
 
 def regular_system(group: GroupSpec) -> ActionSystem:
     """The group acting on itself by translation, with uniform measure."""
-    n = group.cardinality
-    _check_state_count(n)
-    tables = []
-    for j in range(len(group.orders)):
-        e = group.generator(j)
-        tables.append([group.add(x, e) for x in range(n)])
-    return make_system(group, n, tables)
+    return quotient_system(group, group.orders)
 
 
 def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSystem:
@@ -333,13 +340,9 @@ def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSys
         if n % m:
             raise ValueError(f"target order {m} does not divide factor order {n}")
     _check_state_count(target.cardinality)
-    tables = []
-    for j in range(len(group.orders)):
-        if target.orders[j] == 1:
-            tables.append(list(range(target.cardinality)))
-        else:
-            e = target.generator(j)
-            tables.append([target.add(x, e) for x in range(target.cardinality)])
+    # A trivial factor's generator is 0, so its table is the identity.
+    tables = [[target.add(x, e) for x in range(target.cardinality)]
+              for e in map(target.generator, range(len(target.orders)))]
     return make_system(group, target.cardinality, tables)
 
 

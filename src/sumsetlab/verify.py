@@ -660,10 +660,6 @@ def _random_zdesc(rng: SplitMix64, max_period: int) -> ZSetDesc:
     return zdesc(head, lo, hi, left, right)
 
 
-def _desc_label(*parts: str) -> str:
-    return ";".join(parts)
-
-
 def _drive_thm1(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
     n = 2 + rng.below(cfg.max_order - 1)
     m = rng.choice(_divisors(n))

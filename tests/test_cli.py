@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sumsetlab
 from sumsetlab import zset_to_json, periodic, zdesc
 from sumsetlab.cli import _build_parser, main
 from sumsetlab.systems import quotient_system, system_to_json
 from sumsetlab import CHECK_NAMES, make_group
+
+SRC = Path(sumsetlab.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -428,6 +435,17 @@ def test_magratio_accepts_the_largest_state_count(capsys):
     code, out, _ = run(capsys, "magratio", "--group", "65536", "--A", "0,1", "--B", "0")
     assert code == 0
     assert out.startswith("2/1, witness [0]")
+
+
+def test_magratio_cost_does_not_grow_with_acting_set_times_states():
+    # One permutation of all 65536 states per acting element once made this
+    # take minutes and hundreds of MiB; acting now costs |A| * |B| lookups.
+    A = ",".join(str(a) for a in range(0, 65536, 16))
+    done = subprocess.run([sys.executable, "-m", "sumsetlab.cli", "magratio", "--group", "65536",
+                           "--A", A, "--B", "0"], capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("4096/1, witness [0]")
 
 
 def test_sumset_zline_pair_just_past_the_work_bound(capsys, tmp_path):

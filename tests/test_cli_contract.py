@@ -4,6 +4,8 @@ Every run of ``cli.main`` ends in 0, 1 or 2 (argparse's ``SystemExit(2)``
 counts as 2) and never in another exception; input carrying one of the
 defects drawn below must end in 2 with an ``error:`` line.  Extreme numbers
 are drawn only where a guard rejects them in O(1), so each run stays small.
+Each example runs under a SIGALRM alarm, so a hang fails the test at once
+instead of stalling the suite.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import signal
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +37,28 @@ NOT_LIST = st.one_of(st.booleans(), st.integers(-3, 3), st.floats(allow_nan=True
 NOT_RATIONAL = st.one_of(st.sampled_from(["x", "", "1/0", "nan", "1e5", "1e999999999", "2.5.1"]),
                          st.booleans(), st.floats(allow_nan=True), st.none())
 SMALL_INTS = st.lists(st.integers(-2, 9), min_size=1, max_size=4)
+
+
+EXAMPLE_SECONDS = 10
+
+
+class ExampleTimeout(BaseException):
+    """Raised by the alarm.  Not an Exception, so neither ``main``'s handler nor
+    hypothesis's shrinker catches it, and the hanging example fails at once."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: int, what):
+    def expire(signum, frame):
+        raise ExampleTimeout(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _ints(values) -> str:
@@ -160,7 +186,8 @@ def test_cli_ends_in_an_exit_code_never_a_traceback(case):
             (Path(tmp) / name).write_text(json.dumps(data))
         argv = [str(Path(tmp) / a) if a.endswith(".json") else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                alarm(EXAMPLE_SECONDS, argv):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects a flag
@@ -170,3 +197,10 @@ def test_cli_ends_in_an_exit_code_never_a_traceback(case):
         assert code == 2, (argv, files, out.getvalue())
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+def test_the_alarm_interrupts_a_hang():
+    with pytest.raises(ExampleTimeout, match="ran past 1 s"):
+        with alarm(1, "the loop"):
+            while True:
+                pass

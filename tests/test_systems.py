@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from sumsetlab import (
     system_to_json,
 )
 
-from sumsetlab.systems import MAX_STATES, ActionSystem, cover_masks, perm_power
+from sumsetlab.systems import MAX_STATES, ActionSystem, cover_masks
 
 from conftest import sets_in, system_instances, systems
 
@@ -136,20 +137,58 @@ def test_cover_masks_are_single_point_images():
     assert covers == {1: 1 << 1 | 1 << 4, 6: 1 << 6 | 1 << 1}
 
 
-def test_perm_power_matches_repeated_composition():
-    perm = (3, 0, 4, 1, 2, 6, 5)
-    expected = tuple(range(7))
-    for d in range(40):
-        assert perm_power(perm, d) == expected
-        expected = tuple(perm[x] for x in expected)
+def naive_apply(sysm, g: int, x: int) -> int:
+    """g.x by applying generator j to x, one step at a time, d_j times."""
+    for row, d in zip(sysm.generators, sysm.group.digits(g)):
+        for _ in range(d):
+            x = row[x]
+    return x
+
+
+@st.composite
+def uneven_systems(draw):
+    """A quotient of a two-factor group, or the union of two quotients of a cyclic
+    or two-factor group, so that one generator's cycles can differ in length."""
+    orders = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)
+                  .filter(lambda os: 2 <= math.prod(os) <= 36))
+    group = make_group(orders)
+    targets = [[draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+                for n in orders] for _ in range(2)]
+    if len(orders) == 2 and draw(st.booleans()):
+        return quotient_system(group, targets[0])
+    return disjoint_union(quotient_system(group, targets[0]),
+                          quotient_system(group, targets[1]), Fraction(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_stepwise_generator_application(data):
+    sysm = data.draw(uneven_systems())
+    n = sysm.group.cardinality
+    A = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=8))
+    B = data.draw(st.sets(st.integers(0, sysm.states - 1), min_size=1))
+    for g in A:
+        for x in B:
+            assert sysm.apply(g, x) == naive_apply(sysm, g, x)
+    covers = cover_masks(sysm, finite_set(sysm.group, A), state_subset(sysm, B))
+    assert covers == {x: sum({1 << naive_apply(sysm, g, x) for g in A}) for x in sorted(B)}
+
+
+def test_directly_built_non_permutation_table_does_not_loop():
+    weights = (Fraction(1, 4),) * 4
+    sysm = ActionSystem(Z4, 4, ((1, 1, 3, 2),), weights)
+    assert sysm.apply(1, 0) == 1
+    assert sysm.apply(1, 2) == 3
 
 
 def test_large_factor_order_action():
     # One power per recursion level once overflowed the stack at orders near 1000.
     g = make_group([5000])
     sysm = regular_system(g)
-    assert sysm.elem_perm(4999)[0] == 4999
+    assert sysm.apply(4999, 0) == 4999
     assert sysm.apply(2500, 2600) == 100
+    assert cover_masks(sysm, finite_set(g, [1, 4999]), state_subset(sysm, [0])) == {
+        0: 1 << 1 | 1 << 4999}
     with pytest.raises(ValueError, match="order dividing 2500"):
         make_system(make_group([2500]), 5000, [rotation_table(5000)])
 
@@ -321,9 +360,9 @@ def test_homomorphism_property_of_the_action(data):
     n = sysm.group.cardinality
     g = data.draw(st.integers(0, n - 1))
     h = data.draw(st.integers(0, n - 1))
-    lhs = sysm.elem_perm(sysm.group.add(g, h))
-    pg, ph = sysm.elem_perm(g), sysm.elem_perm(h)
-    assert lhs == tuple(pg[ph[x]] for x in range(sysm.states))
+    gh = sysm.group.add(g, h)
+    for x in range(sysm.states):
+        assert sysm.apply(gh, x) == sysm.apply(g, sysm.apply(h, x))
 
 
 @settings(max_examples=40, deadline=None)
