@@ -12,7 +12,10 @@ being spot-checked.
 
 The measure is kept as integer weights over their least common denominator
 D, so measuring a state set is one integer sum.  Pushing states through a
-finite acting set always goes through ``cover_masks``.
+finite acting set always goes through ``cover_masks``.  ``make_system``
+builds the system first and validates it on the same cycle tables and
+integer weights the system then uses: each generator is walked into cycles
+once, and sign, sum (= D) and invariance are integer comparisons.
 
 Ergodicity on a finite system reduces to orbit structure: invariance forces
 the measure to be constant on each orbit, so the system is ergodic exactly
@@ -22,6 +25,7 @@ when the support of the measure is a single orbit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,14 +165,18 @@ def make_system(
     """Validate and build a measure-preserving system.
 
     ``action`` holds one permutation of range(states) per cyclic factor of
-    the group.  ``measure`` defaults to the uniform distribution.  Rejected:
-    non-permutations, tables that violate the factor-order or commutation
-    relations, measures that are negative, do not sum to 1, or are not
-    invariant.
+    the group.  ``measure`` defaults to the uniform distribution; its entries
+    are Fractions or what ``parse_fraction`` reads.  Rejected: table entries
+    that are not integers, inexact measure entries, non-permutations, tables
+    that violate the factor-order or commutation relations, measures that are
+    negative, do not sum to 1, or are not invariant.
     """
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
-    tables = tuple(tuple(int(x) for x in row) for row in action)
+    try:
+        tables = tuple(tuple(map(operator.index, row)) for row in action)
+    except TypeError:
+        raise ValueError("generator table entries must be integers") from None
     if len(tables) != len(group.orders):
         raise ValueError(
             f"expected {len(group.orders)} generator tables, got {len(tables)}"
@@ -178,12 +186,21 @@ def make_system(
         if len(row) != states:
             raise ValueError(f"generator table {j} is not a permutation of the states")
     _check_state_count(states)
+    if measure is None:
+        weights = (Fraction(1, states),) * states
+    else:
+        try:
+            weights = tuple(w if isinstance(w, Fraction) else parse_fraction(w)
+                            for w in measure)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad measure entry: {exc}") from None
+    sys = ActionSystem(group, states, tables, weights)
     ident = tuple(range(states))
     for j, row in enumerate(tables):
         if sorted(row) != list(ident):
             raise ValueError(f"generator table {j} is not a permutation of the states")
-    for j, row in enumerate(tables):
-        if any(group.orders[j] % len(members) for members in _cycle_table(row)[0]):
+    for j, (cycle, _) in enumerate(sys.cycles):
+        if any(group.orders[j] % len(members) for members in cycle):
             raise ValueError(
                 f"generator table {j} does not have order dividing {group.orders[j]}; "
                 "the action is not a homomorphism"
@@ -194,20 +211,17 @@ def make_system(
             if any(a[b[x]] != b[a[x]] for x in range(states)):
                 raise ValueError(f"generator tables {i} and {j} do not commute")
 
-    if measure is None:
-        weights = tuple(Fraction(1, states) for _ in range(states))
-    else:
-        weights = tuple(Fraction(w) for w in measure)
     if len(weights) != states:
         raise ValueError(f"measure has {len(weights)} entries for {states} states")
-    if any(w < 0 for w in weights):
+    w = sys.int_weights
+    if any(v < 0 for v in w):
         raise ValueError("measure weights must be non-negative")
-    if sum(weights) != 1:
-        raise ValueError(f"measure weights sum to {sum(weights)}, expected 1")
+    if sum(w) != sys.denominator:
+        raise ValueError(f"measure weights sum to {Fraction(sum(w), sys.denominator)}, expected 1")
     for j, row in enumerate(tables):
-        if any(weights[row[x]] != weights[x] for x in range(states)):
+        if any(w[row[x]] != w[x] for x in range(states)):
             raise ValueError(f"measure is not invariant under generator table {j}")
-    return ActionSystem(group, states, tables, weights)
+    return sys
 
 
 def state_subset(sys: ActionSystem, members: Iterable[int]) -> StateSubset:
@@ -339,11 +353,12 @@ def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSys
     for n, m in zip(group.orders, target.orders):
         if n % m:
             raise ValueError(f"target order {m} does not divide factor order {n}")
-    _check_state_count(target.cardinality)
-    # A trivial factor's generator is 0, so its table is the identity.
-    tables = [[target.add(x, e) for x in range(target.cardinality)]
-              for e in map(target.generator, range(len(target.orders)))]
-    return make_system(group, target.cardinality, tables)
+    n = target.cardinality
+    _check_state_count(n)
+    # Generator j adds s = strides[j]: a rotation by s inside each block of s * orders[j] states.
+    tables = [[x - x % (s * m) + (x + s) % (s * m) for x in range(n)]
+              for s, m in zip(target.strides, target.orders)]
+    return make_system(group, n, tables)
 
 
 def disjoint_union(
@@ -352,6 +367,8 @@ def disjoint_union(
     """Two systems side by side, with the measure split between them."""
     if a.group != b.group:
         raise ValueError("systems must share the acting group")
+    if not isinstance(first_weight, (int, Fraction)):
+        raise ValueError(f"first_weight must be an int or a Fraction, got {first_weight!r}")
     if not 0 < first_weight < 1:
         raise ValueError("first_weight must lie strictly between 0 and 1")
     tables = []
@@ -384,11 +401,6 @@ def system_from_json(data: dict) -> ActionSystem:
         raise ValueError("system 'action' must be a list of generator tables")
     tables = [json_ints(row, f"system 'action' table {j}") for j, row in enumerate(action)]
     measure = data.get("measure")
-    if measure is not None:
-        if not isinstance(measure, list):
-            raise ValueError("system 'measure' must be a list")
-        try:
-            measure = [parse_fraction(w) for w in measure]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad measure entry: {exc}") from None
+    if measure is not None and not isinstance(measure, list):
+        raise ValueError("system 'measure' must be a list")
     return make_system(group, states, tables, measure)

@@ -502,9 +502,8 @@ def check_levelset(profile: LevelProfile, A: FiniteSet,
     name = "levelset"
     sys = profile.system
     f = profile.values()
-    lhs = sum((fx * w for fx, w in zip(f, sys.weights)), Fraction(0))
-
-    # Masses and the two integrals are in units of 1/D, D = sys.denominator.
+    # Masses and the integrals are in units of 1/D, D = sys.denominator.
+    lhs = sum((fx * w for fx, w in zip(f, sys.int_weights)), Fraction(0)) / sys.denominator
     thresholds = sorted({v for v in f if v > 0})
     levels: list[tuple[int, int]] = []
     integral_e = integral_ae = Fraction(0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from sumsetlab import (
     system_to_json,
 )
 
+from sumsetlab import systems as systems_module
 from sumsetlab.systems import MAX_STATES, ActionSystem, cover_masks
 
 from conftest import sets_in, system_instances, systems
@@ -74,10 +76,55 @@ def test_make_system_rejects_bad_measures():
     table = [rotation_table(4)]
     with pytest.raises(ValueError, match="non-negative"):
         make_system(Z4, 4, table, [Fraction(2), Fraction(-1), 0, 0])
-    with pytest.raises(ValueError, match="sum to"):
+    with pytest.raises(ValueError, match="^measure weights sum to 5/4, expected 1$"):
         make_system(Z4, 4, table, [Fraction(1, 4)] * 3 + [Fraction(1, 2)])
     with pytest.raises(ValueError, match="entries"):
         make_system(Z4, 4, table, [Fraction(1, 2), Fraction(1, 2)])
+
+
+Z2 = make_group([2])
+
+
+@pytest.mark.parametrize("action, measure, message", [
+    ([[1.2, 0.3]], None, "entries must be integers"),
+    ([[None, 0]], None, "entries must be integers"),
+    ([[1, 0]], [None, None], "bad measure entry"),
+    ([[1, 0]], [0.5, 0.5], "bad measure entry"),
+])
+def test_make_system_rejects_inexact_input(action, measure, message):
+    with pytest.raises(ValueError, match=message):
+        make_system(Z2, 2, action, measure)
+
+
+def test_each_generator_is_walked_into_cycles_once(monkeypatch):
+    calls = []
+    original = systems_module._cycle_table
+
+    def counting(row):
+        calls.append(len(row))
+        return original(row)
+
+    monkeypatch.setattr(systems_module, "_cycle_table", counting)
+    group = make_group([6, 4])
+    sysm = regular_system(group)
+    apply_set(sysm, finite_set(group, [1, 7]), state_subset(sysm, [0, 5]))
+    assert calls == [24, 24]
+
+
+def test_quotient_tables_match_elementwise_addition():
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    groups = [[n] for n in range(1, 49)]
+    groups += [[a, b] for a in range(1, 49) for b in range(1, 49 // a + 1)]
+    for orders in groups:
+        group = make_group(orders)
+        for targets in itertools.product(*map(divisors, orders)):
+            target = make_group(targets)
+            expected = tuple(
+                tuple(target.add(x, target.generator(j)) for x in range(target.cardinality))
+                for j in range(len(targets)))
+            assert quotient_system(group, targets).generators == expected, (orders, targets)
 
 
 def test_make_system_rejects_non_invariant_measure():
@@ -283,6 +330,8 @@ def test_disjoint_union_validation():
     a = regular_system(Z4)
     with pytest.raises(ValueError, match="strictly between"):
         disjoint_union(a, a, Fraction(1))
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        disjoint_union(a, a, 0.3)
     with pytest.raises(ValueError, match="share the acting group"):
         disjoint_union(a, regular_system(Z8))
 
