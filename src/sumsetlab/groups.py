@@ -14,6 +14,7 @@ operations rather than |A| * |B| single-element updates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ __all__ = [
     "FiniteSet",
     "bit_indices",
     "frac_str",
+    "exact_int",
     "json_int",
     "json_ints",
     "parse_fraction",
@@ -66,6 +68,17 @@ def parse_fraction(value: int | str) -> Fraction:
     return Fraction(value)
 
 
+def exact_int(value, what: str) -> int:
+    """An integer argument; numpy integers pass, bools, floats and strings
+    are rejected, not cast."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer field; bools, floats and strings are rejected, not cast."""
     if type(value) is not int:
@@ -93,7 +106,7 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if not self.orders:
             raise ValueError("group needs at least one cyclic factor")
-        clean = tuple(int(n) for n in self.orders)
+        clean = tuple(exact_int(n, "factor order") for n in self.orders)
         if any(n < 1 for n in clean):
             raise ValueError(f"factor orders must be positive, got {list(clean)}")
         order = math.prod(clean)

@@ -28,8 +28,14 @@ most |B| + 2 cuts; this bound is asserted.
 The network is built once per ratio and only its capacities change from
 cut to cut.  Arcs live in flat lists, arc e and arc e ^ 1 forming a
 residual pair.  ``_max_flow`` is Dinic's algorithm with an iterative
-blocking-flow search; the nodes its last breadth-first search reaches are
-the minimal source side of a minimum cut, hence the minimal closure.  A
+blocking-flow search.  A greedy pass first pushes along each source -> b
+-> x -> sink path in stored order, which on these networks carries most of
+the flow, so few phases remain.  Within a phase the search resumes at the
+tail of the first arc an augmentation saturated, and a node that dead-ends
+leaves the level graph.  None of this can move the cut: every maximum flow
+leaves the same residual reachable set, and the nodes the last
+breadth-first search reaches are that set, the minimal source side of a
+minimum cut, hence the minimal closure.  A
 flow result's ``nodes`` and ``edges`` describe this one network, the same
 for every cut: source, sink, one node per candidate and per covered state,
 and one edge per source, sink and cover arc (reverse arcs not counted).
@@ -118,36 +124,74 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
     place; arc e ^ 1 is its reverse and adj[u] lists the arcs leaving u.
     Returns the flow and the levels of the last breadth-first search: the
     nodes it reached (level >= 0) are the minimal source side of a minimum
-    cut.  Blocking flows advance along the level graph without recursion.
+    cut.  Every maximum flow leaves the same residual reachable set, so how
+    the flow is found does not change the cut.
+
+    A greedy start walks each source -> u -> v -> sink path once, in stored
+    order, and pushes what the source arc and the sink arc still hold; on
+    the closure network this carries most of the flow before the first
+    phase.  Each phase then builds levels by a breadth-first search that
+    stops expanding once it has set the sink's level, and finds a blocking
+    flow without recursion: after an augmentation the search resumes at the
+    tail of the first arc it saturated, and a node that dead-ends leaves
+    the level graph for the rest of the phase.
     """
+    n = len(adj)
     flow = 0
+    sink_arc = [-1] * n  # sink_arc[v]: the arc v -> sink, if any
+    for e in adj[1]:
+        sink_arc[head[e]] = e ^ 1
+    for e in adj[0]:
+        left = cap[e]
+        for f in adj[head[e]]:
+            if not left:
+                break
+            g = sink_arc[head[f]]
+            if g < 0:
+                continue
+            pushed = min(left, cap[f], cap[g])
+            if pushed:
+                left -= pushed
+                cap[f] -= pushed
+                cap[f ^ 1] += pushed
+                cap[g] -= pushed
+                cap[g ^ 1] += pushed
+        pushed = cap[e] - left
+        cap[e] = left
+        cap[e ^ 1] += pushed
+        flow += pushed
     while True:
-        level = [-1] * len(adj)
+        level = [-1] * n
         level[0] = 0
         frontier = [0]
-        while frontier:
+        while frontier and level[1] < 0:
             nxt = []
             for u in frontier:
+                deeper = level[u] + 1
                 for e in adj[u]:
-                    v = head[e]
-                    if cap[e] and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
+                    if cap[e]:
+                        v = head[e]
+                        if level[v] < 0:
+                            level[v] = deeper
+                            nxt.append(v)
             frontier = nxt
         if level[1] < 0:
             return flow, level
-        it = [0] * len(adj)
+        it = [0] * n
         path: list[int] = []  # arcs from the source to u
         u = 0
         while True:
             if u == 1:
-                pushed = min(cap[e] for e in path)
+                k, pushed = 0, cap[path[0]]
+                for i in range(1, len(path)):
+                    if cap[path[i]] < pushed:
+                        k, pushed = i, cap[path[i]]
                 for e in path:
                     cap[e] -= pushed
                     cap[e ^ 1] += pushed
                 flow += pushed
-                path.clear()
-                u = 0
+                u = head[path[k] ^ 1]  # resume at the tail of the first saturated arc
+                del path[k:]
             arcs, i, deeper = adj[u], it[u], level[u] + 1
             while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == deeper):
                 i += 1
@@ -155,9 +199,9 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
             if i < len(arcs):
                 path.append(arcs[i])
                 u = head[arcs[i]]
-            elif path:  # dead end: retreat and skip the arc that led here
+            elif path:  # dead end: u leaves the level graph, retreat
+                level[u] = -1
                 u = head[path.pop() ^ 1]
-                it[u] += 1
             else:
                 break
 

@@ -36,6 +36,7 @@ from .groups import (
     FiniteSet,
     GroupSpec,
     bit_indices,
+    exact_int,
     frac_str,
     iterated_sumset,
     json_int,
@@ -166,11 +167,13 @@ def make_system(
 
     ``action`` holds one permutation of range(states) per cyclic factor of
     the group.  ``measure`` defaults to the uniform distribution; its entries
-    are Fractions or what ``parse_fraction`` reads.  Rejected: table entries
-    that are not integers, inexact measure entries, non-permutations, tables
-    that violate the factor-order or commutation relations, measures that are
-    negative, do not sum to 1, or are not invariant.
+    are Fractions or what ``parse_fraction`` reads.  Rejected: a state count
+    or table entries that are not integers, inexact measure entries,
+    non-permutations, tables that violate the factor-order or commutation
+    relations, measures that are negative, do not sum to 1, or are not
+    invariant.
     """
+    states = exact_int(states, "state count")
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
     try:
@@ -189,11 +192,22 @@ def make_system(
     if measure is None:
         weights = (Fraction(1, states),) * states
     else:
+        # A measure repeats few distinct strings, so each is parsed once.  Only
+        # str entries are keys: True == 1.0 == 1, yet bools and floats are refused.
+        parsed: dict[str, Fraction] = {}
+        entries = []
         try:
-            weights = tuple(w if isinstance(w, Fraction) else parse_fraction(w)
-                            for w in measure)
+            for w in measure:
+                if type(w) is str:
+                    if w not in parsed:
+                        parsed[w] = parse_fraction(w)
+                    w = parsed[w]
+                elif not isinstance(w, Fraction):
+                    w = parse_fraction(w)
+                entries.append(w)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad measure entry: {exc}") from None
+        weights = tuple(entries)
     sys = ActionSystem(group, states, tables, weights)
     ident = tuple(range(states))
     for j, row in enumerate(tables):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +38,12 @@ def test_make_group_orders():
     assert make_group([MAX_GROUP_ORDER]).cardinality == MAX_GROUP_ORDER
     with pytest.raises(ValueError, match="exceeds the limit"):
         make_group([MAX_GROUP_ORDER // 2, 3])
+    # Orders are integers, never cast: no truncation, no parsing, no bools.
+    for orders in ([2.5], ["3"], [True], [4, 2.0]):
+        with pytest.raises(ValueError, match="factor order must be an integer"):
+            make_group(orders)
+    group = make_group([np.int64(4), np.uint8(3)])
+    assert group.orders == (4, 3) and all(type(n) is int for n in group.orders)
 
 
 def test_mixed_radix_encoding_least_significant_first():

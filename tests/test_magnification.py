@@ -25,6 +25,7 @@ from sumsetlab import (
     regular_system,
     state_subset,
 )
+from sumsetlab import magnification
 from sumsetlab.groups import bit_indices, frac_str
 from sumsetlab.magnification import _enumerate_best, _least_ratio, first_subset_within
 from sumsetlab.systems import ActionSystem, cover_masks
@@ -560,3 +561,71 @@ def test_closure_network_matches_the_per_cut_graph():
         assert got == reference_mag_ratio(sysm, A, B)
         cuts.append(got["iterations"])
     assert max(cuts) >= 3 and cuts.count(3) + cuts.count(4) >= 5
+
+
+def check_flow_certificate(adj, head, cap_in, cap_out, flow, level):
+    """Max-flow/min-cut certificate of one cut, from its capacities alone.
+
+    Arc e (even) and e + 1 form a pair; the flow on e is its input capacity
+    less its residual.  A flow that is conserved and saturates every arc
+    leaving the residual-reachable set, while none entering it carries any,
+    has the value of that cut, so both are optimal.
+    """
+    dtype = np.int64 if sum(cap_in) < 1 << 62 else object
+    cin, cout = np.array(cap_in, dtype=dtype), np.array(cap_out, dtype=dtype)
+    tail, to = np.array(head[1::2]), np.array(head[0::2])
+    assert not cin[1::2].any(), "reverse arcs start empty"
+    f = cin[0::2] - cout[0::2]
+    assert (f >= 0).all() and (f <= cin[0::2]).all()
+    assert (cout[1::2] == f).all(), "a reverse arc holds its pair's flow"
+    net = np.zeros(len(adj), dtype=dtype)  # outflow less inflow
+    np.add.at(net, tail, f)
+    np.subtract.at(net, to, f)
+    assert net[0] == flow and net[1] == -flow and not net[2:].any()
+
+    arc_from = np.array(head)[np.arange(len(head)) ^ 1]
+    arc_to, open_arc = np.array(head), cout > 0
+    reached = np.zeros(len(adj), dtype=bool)
+    reached[0] = True
+    while True:
+        new = arc_to[open_arc & reached[arc_from] & ~reached[arc_to]]
+        if not len(new):
+            break
+        reached[new] = True
+    assert not reached[1]
+    assert (reached == (np.array(level) >= 0)).all()
+    assert not cout[0::2][reached[tail] & ~reached[to]].any(), "cut arcs are saturated"
+    assert not f[~reached[tail] & reached[to]].any(), "no flow re-enters the source side"
+
+
+def certified_cases():
+    yield from flow_cases()
+    rng = random.Random(4096)
+    group = make_group([4096])  # past ORACLE_GUARD: the certificate is the only check
+    sysm = regular_system(group)
+    yield (sysm, finite_set(group, rng.sample(range(4096), 10)),
+           state_subset(sysm, rng.sample(range(4096), 1024)))
+    group = make_group([1200])
+    sysm = disjoint_union(quotient_system(group, [600]), quotient_system(group, [400]),
+                          Fraction(1, 3))
+    yield (sysm, finite_set(group, rng.sample(range(1200), 10)),
+           state_subset(sysm, rng.sample(range(sysm.states), 500)))
+
+
+def test_every_cut_carries_a_flow_certificate(monkeypatch):
+    real, cuts = magnification._max_flow, []
+
+    def certified(adj, head, cap):
+        cap_in = list(cap)
+        flow, level = real(adj, head, cap)
+        check_flow_certificate(adj, head, cap_in, cap, flow, level)
+        cuts.append(len(adj))
+        return flow, level
+
+    monkeypatch.setattr(magnification, "_max_flow", certified)
+    rounds = 0
+    for sysm, A, B in certified_cases():
+        result = mag_ratio(sysm, A, B)
+        check_witness(sysm, A, B, result)
+        rounds += result.iterations
+    assert len(cuts) == rounds and max(cuts) > 2000

@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,10 +91,29 @@ Z2 = make_group([2])
     ([[None, 0]], None, "entries must be integers"),
     ([[1, 0]], [None, None], "bad measure entry"),
     ([[1, 0]], [0.5, 0.5], "bad measure entry"),
+    # Parsed strings are remembered, but a bool, float or list equal to one
+    # is still refused, before or after a valid entry.
+    ([[1, 0]], ["1/2", True], "bad measure entry"),
+    ([[1, 0]], [True, "1/2"], "bad measure entry"),
+    ([[1, 0]], ["1/2", 1.0], "bad measure entry"),
+    ([[1, 0]], [1.0, "1/2"], "bad measure entry"),
+    ([[1, 0]], ["1/2", [1, 2]], "bad measure entry"),
+    ([[1, 0]], [[1, 2], "1/2"], "bad measure entry"),
 ])
 def test_make_system_rejects_inexact_input(action, measure, message):
     with pytest.raises(ValueError, match=message):
         make_system(Z2, 2, action, measure)
+
+
+@pytest.mark.parametrize("states", [2.0, "2", True])
+def test_make_system_rejects_a_non_integer_state_count(states):
+    with pytest.raises(ValueError, match="state count must be an integer"):
+        make_system(Z2, states, [[1, 0]])
+
+
+def test_make_system_takes_numpy_integers_and_repeated_measure_strings():
+    sysm = make_system(Z2, np.int64(2), [[1, 0]], ["1/2", "1/2"])
+    assert type(sysm.states) is int and sysm.weights == (Fraction(1, 2),) * 2
 
 
 def test_each_generator_is_walked_into_cycles_once(monkeypatch):
