@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import textwrap
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -47,13 +46,6 @@ def _parse_ints(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from None
-
-
-def _parse_frac(text: str) -> Fraction:
-    try:
-        return parse_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational p/q: {text!r}") from None
 
 
 def _read_json(path: str) -> dict:
@@ -121,7 +113,7 @@ def cmd_magratio(args) -> int:
     A = finite_set(system.group, _parse_ints(args.A))
     B = state_subset(system, _parse_ints(args.B))
     if args.delta is not None:
-        result = mag_ratio_delta(system, A, B, _parse_frac(args.delta))
+        result = mag_ratio_delta(system, A, B, parse_fraction(args.delta))
     else:
         result = mag_ratio(system, A, B)
     status = 0
@@ -189,7 +181,7 @@ def cmd_equidist(args) -> int:
             members = _parse_ints(args.A)
         else:
             raise ValueError("window mode needs --A or --three-halves")
-        freqs = [float(_parse_frac(part)) for part in args.freqs.split(",")]
+        freqs = [float(parse_fraction(part)) for part in args.freqs.split(",")]
         value = weyl_defect_window(members, args.window, freqs)
         print(f"weyl defect: {value!r} (window {args.window}, |A| = {len(set(members))})")
         return 0

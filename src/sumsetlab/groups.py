@@ -9,6 +9,14 @@ Subsets are dense bitmasks (arbitrary-size ints).  A sumset accumulates
 translated masks with bitwise OR; translating along one cyclic factor is a
 rotation of equally sized bit blocks, so A + B costs |A| * m big-int word
 operations rather than |A| * |B| single-element updates.
+
+Numbers enter through two gates.  ``exact_int`` reads an integer: a Python
+or numpy integer becomes a Python ``int``, and a bool, float or string is
+refused.  ``parse_fraction`` reads a rational: a ``Fraction``, an integer
+as ``exact_int`` reads it, or a "p/q" or decimal string; floats, bools,
+exponent notation and a zero denominator are refused.  Every argument of
+the library that is an integer or a rational passes one of them, and each
+refusal is a ``ValueError``; only ``spectral``'s frequencies are floats.
 """
 
 from __future__ import annotations
@@ -27,8 +35,7 @@ __all__ = [
     "bit_indices",
     "frac_str",
     "exact_int",
-    "json_int",
-    "json_ints",
+    "index_mask",
     "parse_fraction",
     "make_group",
     "finite_set",
@@ -55,22 +62,11 @@ def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(value: int | str) -> Fraction:
-    """An exact rational from an int or a "p/q" or decimal string.
-
-    Floats are refused, and so is exponent notation, which Fraction would
-    expand digit by digit ("1e999999999" is a billion-digit integer).
-    """
-    if type(value) is int:
-        return Fraction(value)
-    if not isinstance(value, str) or "e" in value.lower():
-        raise ValueError(f"not a rational p/q: {value!r}")
-    return Fraction(value)
-
-
 def exact_int(value, what: str) -> int:
-    """An integer argument; numpy integers pass, bools, floats and strings
-    are rejected, not cast."""
+    """An integer argument as a Python int; numpy integers pass, bools, floats
+    and strings are refused, not cast."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -79,18 +75,38 @@ def exact_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def json_int(value, what: str) -> int:
-    """A JSON integer field; bools, floats and strings are rejected, not cast."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer")
-    return value
+def parse_fraction(value) -> Fraction:
+    """An exact rational from a Fraction, an integer as ``exact_int`` reads it,
+    or a "p/q" or decimal string.
+
+    Floats and bools are refused, and so is exponent notation, which Fraction
+    would expand digit by digit ("1e999999999" is a billion-digit integer).
+    Every refusal, a zero denominator included, is one ValueError.
+    """
+    if isinstance(value, Fraction):
+        return value
+    try:
+        if isinstance(value, str):
+            if "e" not in value.lower():
+                return Fraction(value)
+        else:
+            return Fraction(exact_int(value, "rational"))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not a rational p/q: {value!r}")
 
 
-def json_ints(value, what: str) -> list[int]:
-    """A JSON list of integers, each checked as by ``json_int``."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValueError(f"{what} must be a list of integers")
-    return value
+def index_mask(members: Iterable[int], n: int, what: str, where: str) -> int:
+    """The bitmask of members, each an integer in [0, n) as ``exact_int``
+    reads it; ``what`` names a member and ``where`` the range in messages."""
+    mask = 0
+    for x in members:
+        if type(x) is not int:  # a plain int is what exact_int returns unchanged
+            x = exact_int(x, what)
+        if not 0 <= x < n:
+            raise ValueError(f"{what} {x} outside {where}")
+        mask |= 1 << x
+    return mask
 
 
 # Subsets are bitmasks of |G| bits, so the order is bounded before any is built.
@@ -144,6 +160,7 @@ class GroupSpec:
 
     def digits(self, index: int) -> tuple[int, ...]:
         """Mixed-radix digits of an element index, least significant first."""
+        index = exact_int(index, "element index")
         if not 0 <= index < self.cardinality:
             raise ValueError(f"element index {index} outside group of order {self.cardinality}")
         out = []
@@ -158,7 +175,7 @@ class GroupSpec:
             raise ValueError(f"expected {len(self.orders)} digits, got {len(digits)}")
         out = 0
         for d, n, stride in zip(digits, self.orders, self.strides):
-            out += (d % n) * stride
+            out += (exact_int(d, "digit") % n) * stride
         return out
 
     def add(self, a: int, b: int) -> int:
@@ -193,7 +210,9 @@ class GroupSpec:
     def from_json(cls, data: dict) -> "GroupSpec":
         if not isinstance(data, dict) or "orders" not in data:
             raise ValueError("group JSON must be an object with an 'orders' list")
-        return cls(tuple(json_ints(data["orders"], "group 'orders'")))
+        if not isinstance(data["orders"], list):
+            raise ValueError("group 'orders' must be a list of integers")
+        return cls(tuple(data["orders"]))
 
 
 @dataclass(frozen=True)
@@ -204,8 +223,10 @@ class FiniteSet:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask > self.group.full_mask:
+        mask = exact_int(self.mask, "set bitmask")
+        if mask < 0 or mask > self.group.full_mask:
             raise ValueError("set bitmask does not fit the group")
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -233,12 +254,8 @@ def make_group(orders: Iterable[int]) -> GroupSpec:
 
 
 def finite_set(group: GroupSpec, members: Iterable[int]) -> FiniteSet:
-    mask = 0
-    for x in members:
-        if not 0 <= x < group.cardinality:
-            raise ValueError(f"element index {x} outside group of order {group.cardinality}")
-        mask |= 1 << x
-    return FiniteSet(group, mask)
+    n = group.cardinality
+    return FiniteSet(group, index_mask(members, n, "element index", f"group of order {n}"))
 
 
 def full_set(group: GroupSpec) -> FiniteSet:
@@ -266,6 +283,7 @@ def sumset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
 
 def iterated_sumset(A: FiniteSet, k: int) -> FiniteSet:
     """The k-fold sumset A + ... + A, computed by doubling."""
+    k = exact_int(k, "k")
     if k < 1:
         raise ValueError(f"iterated sumset needs k >= 1, got {k}")
     _require_nonempty(A, "A")
@@ -291,6 +309,7 @@ def negate(A: FiniteSet) -> FiniteSet:
 
 
 def translate(A: FiniteSet, g: int) -> FiniteSet:
+    g = exact_int(g, "element index")
     if not 0 <= g < A.group.cardinality:
         raise ValueError(f"element index {g} outside group of order {A.group.cardinality}")
     return FiniteSet(A.group, A.group.translate_mask(A.mask, g))

@@ -54,9 +54,13 @@ covered states X, stored as ceil(|X|/64) uint64 words per mask, and builds
 the cover and weight of every subset by doubling over the m candidates:
 cover[h:2h] = cover[:h] | A.{b_j} and wsum[h:2h] = wsum[:h] + W(b_j).  The
 covered mass of a cover is a sum of lookups in one 256-entry table per
-byte.  A low table over the first min(m, 16) candidates is OR-ed with each
-subset of the others in turn, so no table holds more than 2^16 covers
-(512 KiB per 64 covered states) and m = 24 takes 256 blocks.  Ratios are
+byte.  A low table over the first min(m, 14) candidates is OR-ed with each
+subset of the others in turn, so no table holds more than 2^14 covers
+(128 KiB per 64 covered states) and m = 24 takes 1024 blocks.  128 KiB is
+glibc's default mmap threshold: larger tables, freed and allocated again
+on every call, come back as fresh pages whenever the heap holds no free
+chunk that large, which the memory layout left by the imports decides, so
+their cost would follow unrelated code.  Ratios are
 compared by integer cross-multiplication: in int64 when the square of the
 total integer weight, which bounds every product, is below 2^62, and
 otherwise by the same code on arrays of Python ints.  Ties go to the
@@ -73,7 +77,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .groups import FiniteSet, bit_indices, frac_str
+from .groups import FiniteSet, bit_indices, frac_str, parse_fraction
 # apply_set is unused here; bench/test_bench.py asserts magnification.apply_set exists.
 from .systems import ActionSystem, StateSubset, apply_set, cover_masks, state_subset
 
@@ -269,7 +273,7 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
     raise AssertionError("Dinkelbach loop exceeded the |B| + 2 cut bound")
 
 
-_BLOCK_BITS = 16
+_BLOCK_BITS = 14
 _INT64_LIMIT = 1 << 62
 
 
@@ -343,7 +347,7 @@ def _subset_blocks(
 
     low = min(len(covers), _BLOCK_BITS)
     lo_cover, lo_wsum = _doubled(rows[0], base_weight, rows[1:1 + low], weights[:low], dtype)
-    # The low table goes out in chunks [0, 256), [256, 4096), [4096, 65536),
+    # The low table goes out in chunks [0, 256), [256, 4096), [4096, 16384),
     # so a caller that stops at an early hit measures little of it.
     first = 0
     while first < len(lo_wsum):
@@ -496,7 +500,7 @@ def mag_ratio_delta(
     The measure constraint destroys the closure structure used by the flow
     route, so this is exhaustive enumeration under the same size guard.
     """
-    delta = Fraction(delta)
+    delta = parse_fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     return _enumerated(sys, A, B, "enumeration", delta)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import bit_indices, finite_set, frac_str, make_group
+from .groups import bit_indices, exact_int, finite_set, frac_str, make_group
 from .systems import ActionSystem, StateSubset, apply_set, measure_of, regular_system, state_subset
 from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
 
@@ -154,6 +154,7 @@ def orbit_closure(S: ZSetDesc) -> OrbitSystem:
 
 def recovery_window_ok(orb: OrbitSystem, lo: int, hi: int) -> bool:
     """Check that reading B along the base-point orbit recovers S on [lo, hi)."""
+    lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
     return all(orb.b_xo_contains(g) == zcontains(orb.source, g) for g in range(lo, hi))
 
 
@@ -165,7 +166,7 @@ def verify_correspondence(S: ZSetDesc, A: Iterable[int]) -> CorrespondenceReport
     and some listed nu satisfies
       d_lower(S) <= nu(B)          and   d_lower(A + S) >= nu(A.B).
     """
-    A = sorted({int(a) for a in A})
+    A = sorted({exact_int(a, "acting element") for a in A})
     if not A:
         raise ValueError("acting set must be a non-empty finite set of integers")
     orb = orbit_closure(S)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteSet, GroupSpec
+from .groups import FiniteSet, GroupSpec, exact_int
 
 __all__ = [
     "char_value",
@@ -126,7 +126,8 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
     the grid stands in for the full circle, so the value is a float, not a
     certificate.
     """
-    arr = np.asarray(sorted(set(int(a) for a in A)), dtype=float)
+    window = exact_int(window, "window")
+    arr = np.asarray(sorted({exact_int(a, "window member") for a in A}), dtype=float)
     if arr.size == 0:
         raise ValueError("Weyl defect of the empty set is undefined")
     if arr.min() < 0 or arr.max() >= window:
@@ -146,6 +147,7 @@ MAX_THREE_HALVES_LIMIT = 10**9
 
 def floor_three_halves(limit: int) -> list[int]:
     """The set {floor(n^(3/2)) : n >= 1} ∩ [0, limit), computed exactly."""
+    limit = exact_int(limit, "limit")
     if limit > MAX_THREE_HALVES_LIMIT:
         raise ValueError(f"limit {limit} exceeds {MAX_THREE_HALVES_LIMIT}")
     out = []

@@ -25,7 +25,6 @@ when the support of the measure is a single orbit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,9 +37,8 @@ from .groups import (
     bit_indices,
     exact_int,
     frac_str,
+    index_mask,
     iterated_sumset,
-    json_int,
-    json_ints,
     parse_fraction,
 )
 
@@ -108,6 +106,9 @@ class ActionSystem:
 
     def apply(self, g: int, x: int) -> int:
         """The state g.x: x moved d_j places along its generator-j cycle for each j."""
+        x = exact_int(x, "state index")
+        if not 0 <= x < self.states:
+            raise ValueError(f"state index {x} outside system with {self.states} states")
         for cycle, place, d in self._steps(g):
             members = cycle[x]
             x = members[(place[x] + d) % len(members)]
@@ -140,8 +141,10 @@ class StateSubset:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> self.system.states:
+        mask = exact_int(self.mask, "state bitmask")
+        if mask < 0 or mask >> self.system.states:
             raise ValueError("state bitmask does not fit the system")
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -167,18 +170,18 @@ def make_system(
 
     ``action`` holds one permutation of range(states) per cyclic factor of
     the group.  ``measure`` defaults to the uniform distribution; its entries
-    are Fractions or what ``parse_fraction`` reads.  Rejected: a state count
-    or table entries that are not integers, inexact measure entries,
-    non-permutations, tables that violate the factor-order or commutation
-    relations, measures that are negative, do not sum to 1, or are not
-    invariant.
+    are what ``parse_fraction`` reads.  Rejected: a state count or table
+    entries that ``exact_int`` refuses, measure entries that
+    ``parse_fraction`` refuses, non-permutations, tables that violate the
+    factor-order or commutation relations, measures that are negative, do
+    not sum to 1, or are not invariant.
     """
     states = exact_int(states, "state count")
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
     try:
-        tables = tuple(tuple(map(operator.index, row)) for row in action)
-    except TypeError:
+        tables = tuple(tuple([exact_int(x, "table entry") for x in row]) for row in action)
+    except (TypeError, ValueError):
         raise ValueError("generator table entries must be integers") from None
     if len(tables) != len(group.orders):
         raise ValueError(
@@ -202,10 +205,10 @@ def make_system(
                     if w not in parsed:
                         parsed[w] = parse_fraction(w)
                     w = parsed[w]
-                elif not isinstance(w, Fraction):
+                else:
                     w = parse_fraction(w)
                 entries.append(w)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad measure entry: {exc}") from None
         weights = tuple(entries)
     sys = ActionSystem(group, states, tables, weights)
@@ -239,12 +242,8 @@ def make_system(
 
 
 def state_subset(sys: ActionSystem, members: Iterable[int]) -> StateSubset:
-    mask = 0
-    for x in members:
-        if not 0 <= x < sys.states:
-            raise ValueError(f"state index {x} outside system with {sys.states} states")
-        mask |= 1 << x
-    return StateSubset(sys, mask)
+    n = sys.states
+    return StateSubset(sys, index_mask(members, n, "state index", f"system with {n} states"))
 
 
 def full_states(sys: ActionSystem) -> StateSubset:
@@ -338,6 +337,12 @@ def is_ergodic_set(sys: ActionSystem, A: FiniteSet) -> bool:
     """
     if not is_ergodic(sys):
         raise ValueError("ergodic-set certificates are defined over ergodic systems")
+    return covers_support(sys, A)
+
+
+def covers_support(sys: ActionSystem, A: FiniteSet) -> bool:
+    """True iff A.{x} covers the support for every state x in it: ``is_ergodic_set``
+    for a caller that already knows the system is ergodic."""
     support = sys.support_mask
     covers = cover_masks(sys, A, StateSubset(sys, support))
     return all(not support & ~hit for hit in covers.values())
@@ -345,6 +350,7 @@ def is_ergodic_set(sys: ActionSystem, A: FiniteSet) -> bool:
 
 def is_ergodic_basis(sys: ActionSystem, A: FiniteSet, k: int) -> bool:
     """True iff the k-fold sumset of A is an ergodic set for the system."""
+    k = exact_int(k, "basis order")
     if k < 1:
         raise ValueError(f"basis order must be >= 1, got {k}")
     return is_ergodic_set(sys, iterated_sumset(A, k))
@@ -381,8 +387,10 @@ def disjoint_union(
     """Two systems side by side, with the measure split between them."""
     if a.group != b.group:
         raise ValueError("systems must share the acting group")
-    if not isinstance(first_weight, (int, Fraction)):
-        raise ValueError(f"first_weight must be an int or a Fraction, got {first_weight!r}")
+    try:
+        first_weight = parse_fraction(first_weight)
+    except ValueError as exc:
+        raise ValueError(f"first_weight must be an int or a Fraction: {exc}") from None
     if not 0 < first_weight < 1:
         raise ValueError("first_weight must lie strictly between 0 and 1")
     tables = []
@@ -409,12 +417,17 @@ def system_from_json(data: dict) -> ActionSystem:
         if key not in data:
             raise ValueError(f"system JSON is missing '{key}'")
     group = GroupSpec.from_json(data["group"])
-    states = json_int(data["states"], "system 'states'")
+    states = exact_int(data["states"], "system 'states'")
     action = data["action"]
     if not isinstance(action, list):
         raise ValueError("system 'action' must be a list of generator tables")
-    tables = [json_ints(row, f"system 'action' table {j}") for j, row in enumerate(action)]
+    for j, row in enumerate(action):
+        try:
+            for x in row:
+                exact_int(x, "table entry")
+        except (TypeError, ValueError):
+            raise ValueError(f"system 'action' table {j} must be a list of integers") from None
     measure = data.get("measure")
     if measure is not None and not isinstance(measure, list):
         raise ValueError("system 'measure' must be a list")
-    return make_system(group, states, tables, measure)
+    return make_system(group, states, action, measure)

@@ -29,12 +29,14 @@ from typing import Callable, Sequence
 from .groups import (
     FiniteSet,
     bit_indices,
+    exact_int,
     finite_set,
     frac_str,
     group_density,
     iterated_sumset,
     make_group,
     negate,
+    parse_fraction,
     sumset,
 )
 from .magnification import first_subset_within, mag_ratio, mag_ratio_delta, mag_ratio_oracle
@@ -43,10 +45,10 @@ from .systems import (
     StateSubset,
     apply_set,
     cover_masks,
+    covers_support,
     disjoint_union,
     is_ergodic,
     is_ergodic_basis,
-    is_ergodic_set,
     measure_of,
     orbits,
     quotient_system,
@@ -98,7 +100,7 @@ class SplitMix64:
     """The fixed 64-bit generator behind every campaign; documented, portable."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = exact_int(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
@@ -173,9 +175,11 @@ def _vacuous(check: str, instance: str, note: str, **witness) -> CheckResult:
                        dict(witness))
 
 
-def _need_k(k: int, least: int = 1) -> None:
+def _need_k(k: int, least: int = 1) -> int:
+    k = exact_int(k, "k")
     if k < least:
         raise ValueError(f"k must be >= {least}, got {k}")
+    return k
 
 
 def _need_subset(Bp: StateSubset, B: StateSubset) -> None:
@@ -195,10 +199,10 @@ def _measured(sys: ActionSystem, B: StateSubset, label: str = "B", *,
 
 def petridis_constants(a_size: int, k: int) -> list[int]:
     """D_0 = 0 and D_j = 2*D_{j-1} + |A|^j, returned as [D_0, ..., D_k]."""
+    a_size = exact_int(a_size, "|A|")
     if a_size < 1:
         raise ValueError("need |A| >= 1")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    k = _need_k(k, 0)
     out = [0]
     for j in range(1, k + 1):
         out.append(2 * out[-1] + a_size**j)
@@ -214,7 +218,7 @@ def check_thm1(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                instance: str = "adhoc") -> CheckResult:
     """Check ``thm1`` of ``CHECKS``: vacuous unless ergodic, mu(B) > 0, kA an ergodic set."""
     name = "thm1"
-    _need_k(k)
+    k = _need_k(k)
     mb, note = _measured(sys, B, ergodic=True)
     if note:
         return _vacuous(name, instance, note)
@@ -231,7 +235,7 @@ def check_thm2(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                instance: str = "adhoc") -> CheckResult:
     """Check ``thm2`` of ``CHECKS`` (d: group density): vacuous unless ergodic, mu(B) > 0."""
     name = "thm2"
-    _need_k(k)
+    k = _need_k(k)
     mb, note = _measured(sys, B, ergodic=True)
     if note:
         return _vacuous(name, instance, note)
@@ -246,7 +250,7 @@ def check_cor2_group(A: FiniteSet, B: FiniteSet, k: int,
                      instance: str = "adhoc") -> CheckResult:
     """Check ``cor2`` of ``CHECKS`` on two subsets of one finite group."""
     name = "cor2"
-    _need_k(k)
+    k = _need_k(k)
     if A.group != B.group:
         raise ValueError("operands live in different groups")
     ab = sumset(A, B).size
@@ -266,7 +270,7 @@ def check_cor1_cor3_zline(A: ZSetDesc, B: ZSetDesc, k: int,
     flagged accordingly.
     """
     name = "cor13"
-    _need_k(k)
+    k = _need_k(k)
     AB = zsumset(A, B)
     kA = zsumset_iterated(A, k)
     du_ab, dl_ab = banach_upper(AB), banach_lower(AB)
@@ -287,7 +291,7 @@ def check_prop12(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                  instance: str = "adhoc") -> CheckResult:
     """Check ``prop12`` of ``CHECKS``; no ergodicity assumption."""
     name = "prop12"
-    _need_k(k)
+    k = _need_k(k)
     c1 = mag_ratio(sys, A, B).value
     ck = mag_ratio(sys, iterated_sumset(A, k), B).value
     lhs, rhs = c1**k, ck
@@ -318,7 +322,7 @@ def check_petridis_lemma(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     """Check ``petridis`` of ``CHECKS`` for eps >= 0 and B' in B; vacuous when
     mu(B') = 0 or the premise on mu(AB') fails."""
     name = "petridis"
-    eps = Fraction(eps)
+    eps = parse_fraction(eps)
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     mbp, c, note, premise = _petridis_premise(sys, A, B, Bp, eps)
@@ -338,10 +342,10 @@ def check_petridis_growth(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     """Check ``petridis2`` of ``CHECKS``, the iterated form of
     ``check_petridis_lemma`` under its premise, for 0 < eps < 1 and k >= 0."""
     name = "petridis2"
-    eps = Fraction(eps)
+    eps = parse_fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
-    _need_k(k, 0)
+    k = _need_k(k, 0)
     mbp, c, note, _ = _petridis_premise(sys, A, B, Bp, eps)
     if note:
         return _vacuous(name, instance, note)
@@ -361,10 +365,10 @@ def check_prop13_increment(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     mu(B') >= delta mu(B) or extends to a strictly larger B'' in B that
     still satisfies the same bound."""
     name = "prop13"
-    delta = Fraction(delta)
+    delta = parse_fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
-    _need_k(k)
+    k = _need_k(k)
     _need_subset(Bp, B)
     cand = list(bit_indices(B.mask & sys.support_mask))
     if len(cand) > 20:
@@ -406,11 +410,13 @@ def check_prop2_minmax(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                        delta: Fraction, instance: str = "adhoc") -> CheckResult:
     """Check ``prop2`` of ``CHECKS``: vacuous unless ergodic, A an ergodic set, mu(B) > 0."""
     name = "prop2"
-    delta = Fraction(delta)
+    delta = parse_fraction(delta)
     # Ergodic sets are defined over ergodic systems only.
-    if is_ergodic(sys) and not is_ergodic_set(sys, A):
+    if not is_ergodic(sys):
+        return _vacuous(name, instance, "system is not ergodic")
+    if not covers_support(sys, A):
         return _vacuous(name, instance, "A is not an ergodic set")
-    mb, note = _measured(sys, B, ergodic=True)
+    mb, note = _measured(sys, B)
     if note:
         return _vacuous(name, instance, note)
     value = mag_ratio_delta(sys, A, B, delta).value
@@ -423,7 +429,7 @@ def check_prop21(sys: ActionSystem, A: FiniteSet, B: StateSubset, k: int,
                  instance: str = "adhoc") -> CheckResult:
     """Check ``prop21`` of ``CHECKS``; no ergodicity assumption, vacuous if mu(B) = 0."""
     name = "prop21"
-    _need_k(k)
+    k = _need_k(k)
     mb, note = _measured(sys, B)
     if note:
         return _vacuous(name, instance, note)
@@ -467,7 +473,7 @@ class LevelProfile:
             raise ValueError("profile needs at least one indicator set")
         if len(self.sets) != len(self.coefficients):
             raise ValueError("one coefficient per indicator set required")
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(parse_fraction(c) for c in self.coefficients)
         if any(c <= 0 for c in coeffs):
             raise ValueError("profile coefficients must be positive")
         if sum(coeffs) > 1:
@@ -532,8 +538,8 @@ def check_levelset(profile: LevelProfile, A: FiniteSet,
     if integral_e == 0:
         return _vacuous(name, instance, "profile mass is zero on the support")
     mean = integral_ae / integral_e
-    cheb = {frac_str(eps): any(0 < e and ae < (mean + Fraction(eps)) * e for e, ae in levels)
-            for eps in epsilons}
+    cheb = {frac_str(eps): any(0 < e and ae < (mean + eps) * e for e, ae in levels)
+            for eps in map(parse_fraction, epsilons)}
     holds = identity and inclusion and all(cheb.values())
     return CheckResult(name, instance, lhs, rhs, holds,
                        witness={"identity": identity, "inclusion": inclusion,
@@ -659,7 +665,7 @@ def _random_zdesc(rng: SplitMix64, max_period: int) -> ZSetDesc:
     return zdesc(head, lo, hi, left, right)
 
 
-def _drive_thm1(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_thm1(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     n = 2 + rng.below(cfg.max_order - 1)
     m = rng.choice(_divisors(n))
     group = make_group([n])
@@ -671,27 +677,27 @@ def _drive_thm1(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[Che
             break
         A = _random_fset(rng, group, min(n, 6))
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
-    return [check_thm1(sys, A, B, k, instance)]
+    return check_thm1(sys, A, B, k, instance)
 
 
-def _drive_thm2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_thm2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=True)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
     k = rng.choice(cfg.k_values)
-    return [check_thm2(sys, A, B, k, instance)]
+    return check_thm2(sys, A, B, k, instance)
 
 
-def _drive_cor2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_cor2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     n = 2 + rng.below(cfg.max_order - 1)
     group = make_group([n])
     A = _random_fset(rng, group, n)
     B = _random_fset(rng, group, n)
     k = 1 + rng.below(5)
-    return [check_cor2_group(A, B, k, instance)]
+    return check_cor2_group(A, B, k, instance)
 
 
-def _drive_cor13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_cor13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     B = _random_zdesc(rng, 12)
     if rng.below(2):
         size = 1 + rng.below(4)
@@ -701,18 +707,18 @@ def _drive_cor13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[Ch
         p = 1 + rng.below(6)
         A = periodic(p, rng.sample(p, 1 + rng.below(p)))
     k = rng.choice(cfg.k_values)
-    return [check_cor1_cor3_zline(A, B, k, instance)]
+    return check_cor1_cor3_zline(A, B, k, instance)
 
 
-def _drive_prop12(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_prop12(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
     k = rng.choice(cfg.k_values)
-    return [check_prop12(sys, A, B, k, instance)]
+    return check_prop12(sys, A, B, k, instance)
 
 
-def _drive_petridis(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_petridis(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 5)
     B = _random_sset(rng, sys, min(8, sys.states))
@@ -722,10 +728,10 @@ def _drive_petridis(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list
     else:
         Bp = _random_subset_of(rng, sys, B)
     F = _random_fset(rng, sys.group, 4)
-    return [check_petridis_lemma(sys, A, B, Bp, F, eps, instance)]
+    return check_petridis_lemma(sys, A, B, Bp, F, eps, instance)
 
 
-def _drive_petridis2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_petridis2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 4)
     B = _random_sset(rng, sys, min(8, sys.states))
@@ -735,10 +741,10 @@ def _drive_petridis2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> lis
     else:
         Bp = _random_subset_of(rng, sys, B)
     k = rng.below(4)
-    return [check_petridis_growth(sys, A, B, Bp, eps, k, instance)]
+    return check_petridis_growth(sys, A, B, Bp, eps, k, instance)
 
 
-def _drive_prop13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_prop13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 4)
     B = _random_sset(rng, sys, min(10, sys.states))
@@ -748,10 +754,10 @@ def _drive_prop13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[C
         Bp = mag_ratio(sys, iterated_sumset(A, k), B).witness
     else:
         Bp = _random_subset_of(rng, sys, B)
-    return [check_prop13_increment(sys, A, B, Bp, delta, k, instance)]
+    return check_prop13_increment(sys, A, B, Bp, delta, k, instance)
 
 
-def _drive_prop2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_prop2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     n = 2 + rng.below(cfg.max_order - 1)
     small = [m for m in _divisors(n) if m <= 12]
     m = rng.choice(small)
@@ -763,25 +769,25 @@ def _drive_prop2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[Ch
     A = finite_set(group, members)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
     delta = rng.choice(cfg.deltas)
-    return [check_prop2_minmax(sys, A, B, delta, instance)]
+    return check_prop2_minmax(sys, A, B, delta, instance)
 
 
-def _drive_prop21(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_prop21(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
     k = rng.choice(cfg.k_values)
-    return [check_prop21(sys, A, B, k, instance)]
+    return check_prop21(sys, A, B, k, instance)
 
 
-def _drive_prop22(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_prop22(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, cfg.max_order, need_ergodic=True)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
-    return [check_prop22(sys, A, B, instance)]
+    return check_prop22(sys, A, B, instance)
 
 
-def _drive_levelset(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_levelset(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, min(cfg.max_order, 64), need_ergodic=False, max_states=64)
     m = 1 + rng.below(8)
     sets = tuple(_random_sset(rng, sys, sys.states) for _ in range(m))
@@ -792,10 +798,10 @@ def _drive_levelset(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list
         total = sum(raw)
         profile = LevelProfile(sys, sets, tuple(Fraction(r, total) for r in raw))
     A = _random_fset(rng, sys.group, 5)
-    return [check_levelset(profile, A, cfg.epsilons, instance)]
+    return check_levelset(profile, A, cfg.epsilons, instance)
 
 
-def _drive_transitive(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_transitive(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     group = _random_group(rng, cfg.max_order)
     sys_y = regular_system(group) if rng.below(2) else _random_quotient(rng, group)
     A = _random_sset(rng, sys_y, sys_y.states)
@@ -808,14 +814,14 @@ def _drive_transitive(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> li
         sys_x = disjoint_union(_random_quotient(rng, group),
                                _random_quotient(rng, group))
     B = _random_sset(rng, sys_x, min(cfg.max_set, sys_x.states))
-    return [check_transitive_point(sys_y, A, sys_x, B, instance)]
+    return check_transitive_point(sys_y, A, sys_x, B, instance)
 
 
-def _drive_oracle(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> list[CheckResult]:
+def _drive_oracle(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
     sys = _random_system(rng, min(cfg.max_order, 12), need_ergodic=False, max_states=24)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, 12))
-    return [check_oracle_equivalence(sys, A, B, instance)]
+    return check_oracle_equivalence(sys, A, B, instance)
 
 
 @dataclass(frozen=True)
@@ -827,7 +833,7 @@ class Check:
 
     name: str
     statement: str
-    driver: Callable[[SplitMix64, CampaignConfig, str], list[CheckResult]]
+    driver: Callable[[SplitMix64, CampaignConfig, str], CheckResult]
 
 
 # The campaign runs, and the help lists, the checks in this order.
@@ -879,6 +885,8 @@ class CampaignConfig:
         repeated = sorted({c for c in checks if checks.count(c) > 1})
         if repeated:
             raise ValueError(f"checks selected more than once: {', '.join(repeated)}")
+        for key in ("seed", "instances", "max_order", "max_set"):
+            object.__setattr__(self, key, exact_int(getattr(self, key), key))
         if self.instances < 0:
             raise ValueError("instance count must be >= 0")
         if self.max_order < 2:
@@ -886,9 +894,9 @@ class CampaignConfig:
         if self.max_set < 1:
             raise ValueError("max_set must be >= 1")
         object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "deltas", tuple(Fraction(d) for d in self.deltas))
-        object.__setattr__(self, "epsilons", tuple(Fraction(e) for e in self.epsilons))
+        object.__setattr__(self, "k_values", tuple(exact_int(k, "k") for k in self.k_values))
+        object.__setattr__(self, "deltas", tuple(map(parse_fraction, self.deltas)))
+        object.__setattr__(self, "epsilons", tuple(map(parse_fraction, self.epsilons)))
 
     def to_json(self) -> dict:
         return {
@@ -990,5 +998,5 @@ def run_campaign(cfg: CampaignConfig) -> VerificationReport:
         driver = drivers[check]
         for i in range(cfg.instances):
             sub = (cfg.seed ^ _fnv1a64(check) ^ (i * _GOLDEN)) & _MASK64
-            rows.extend(driver(SplitMix64(sub), cfg, f"{check}-{i:06d}"))
+            rows.append(driver(SplitMix64(sub), cfg, f"{check}-{i:06d}"))
     return VerificationReport(cfg, tuple(rows))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import FiniteSet, bit_indices, json_int, json_ints, make_group, sumset
+from .groups import FiniteSet, bit_indices, exact_int, make_group, sumset
 
 __all__ = [
     "MAX_TAIL_PERIOD",
@@ -68,19 +68,24 @@ MAX_SUMSET_WORK = 1 << 28
 
 @dataclass(frozen=True)
 class Tail:
-    """One periodic tail: membership at n is (n mod period) in pattern."""
+    """One periodic tail: membership at n is (n mod period) in pattern.
+
+    ``pattern`` may be given as any iterable of residues; it is stored as a
+    frozenset."""
 
     period: int
     pattern: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError(f"tail period must be >= 1, got {self.period}")
-        if self.period > MAX_TAIL_PERIOD:
-            raise ValueError(f"tail period {self.period} exceeds the limit {MAX_TAIL_PERIOD}")
-        pat = frozenset(int(r) for r in self.pattern)
-        if any(not 0 <= r < self.period for r in pat):
+        period = exact_int(self.period, "tail 'period'")
+        if period < 1:
+            raise ValueError(f"tail period must be >= 1, got {period}")
+        if period > MAX_TAIL_PERIOD:
+            raise ValueError(f"tail period {period} exceeds the limit {MAX_TAIL_PERIOD}")
+        pat = frozenset(exact_int(r, "tail residue") for r in self.pattern)
+        if any(not 0 <= r < period for r in pat):
             raise ValueError("tail pattern must consist of residues in [0, period)")
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "pattern", pat)
 
     @property
@@ -129,7 +134,7 @@ def _tail_arg(value) -> Tail | None:
         tail = value
     else:
         period, pattern = value
-        tail = Tail(int(period), frozenset(pattern))
+        tail = Tail(period, pattern)
     if not tail.pattern:
         return None
     return _reduce_tail(tail)
@@ -148,11 +153,15 @@ def zdesc(
     omitted the window is the tight hull of the members.  ``left`` and
     ``right`` are (period, pattern) pairs, Tail objects, or None.
     """
-    members = {int(x) for x in head}
+    members = {exact_int(x, "head member") for x in head}
     if lo is None:
         lo = min(members) if members else 0
+    else:
+        lo = exact_int(lo, "lo")
     if hi is None:
         hi = max(members) + 1 if members else lo
+    else:
+        hi = exact_int(hi, "hi")
     if hi < lo:
         raise ValueError(f"head window [{lo}, {hi}) is inverted")
     if any(not lo <= x < hi for x in members):
@@ -193,7 +202,7 @@ def zdesc(
 
 def periodic(period: int, pattern: Iterable[int]) -> ZSetDesc:
     """The two-sided periodic set {n : n mod period in pattern}."""
-    tail = Tail(int(period), frozenset(pattern))
+    tail = Tail(period, pattern)
     return zdesc((), 0, 0, tail, tail)
 
 
@@ -206,6 +215,7 @@ def integers() -> ZSetDesc:
 
 
 def zcontains(S: ZSetDesc, n: int) -> bool:
+    n = exact_int(n, "n")
     if n < S.lo:
         return S.left is not None and (n % S.left.period) in S.left.pattern
     if n >= S.hi:
@@ -219,6 +229,7 @@ def is_empty(S: ZSetDesc) -> bool:
 
 def shift(S: ZSetDesc, t: int) -> ZSetDesc:
     """The translate S + t."""
+    t = exact_int(t, "shift")
 
     def move(tail: Tail | None) -> Tail | None:
         if tail is None:
@@ -245,6 +256,7 @@ def banach_lower(S: ZSetDesc) -> Fraction:
 
 def window_density(S: ZSetDesc, lo: int, hi: int) -> Fraction:
     """Counting density |S ∩ [lo, hi)| / (hi - lo).  A window estimate only."""
+    lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
     if hi <= lo:
         raise ValueError(f"window [{lo}, {hi}) is empty")
     return Fraction(sum(1 for n in range(lo, hi) if zcontains(S, n)), hi - lo)
@@ -312,6 +324,7 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
 
 def zsumset_iterated(A: ZSetDesc, k: int) -> ZSetDesc:
     """The k-fold sumset A + ... + A on the integer line."""
+    k = exact_int(k, "k")
     if k < 1:
         raise ValueError(f"iterated sumset needs k >= 1, got {k}")
     out = A
@@ -343,14 +356,19 @@ def zset_from_json(data: dict) -> ZSetDesc:
         if key not in head:
             raise ValueError(f"descriptor head is missing '{key}'")
 
+    def listed(value, what: str) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"{what} must be a list of integers")
+        return value
+
     def tail(block):
         if block is None:
             return None
         if not isinstance(block, dict) or "period" not in block or "pattern" not in block:
             raise ValueError("tail block needs 'period' and 'pattern'")
-        return (json_int(block["period"], "tail 'period'"),
-                json_ints(block["pattern"], "tail 'pattern'"))
+        return Tail(block["period"], listed(block["pattern"], "tail 'pattern'"))
 
-    return zdesc(json_ints(head["members"], "head 'members'"),
-                 json_int(head["lo"], "head 'lo'"), json_int(head["hi"], "head 'hi'"),
+    # lo and hi are gated here: zdesc reads a missing one as the members' hull.
+    return zdesc(listed(head["members"], "head 'members'"),
+                 exact_int(head["lo"], "head 'lo'"), exact_int(head["hi"], "head 'hi'"),
                  tail(data.get("left")), tail(data.get("right")))

@@ -1,8 +1,13 @@
-"""Exactness lint: no float enters ``src/`` outside the spectral module.
+"""Exactness lint: no float enters ``src/`` outside the spectral module, and
+integers enter the exact modules only through ``groups.exact_int``.
 
-The check walks the syntax tree of every module and refuses float literals,
-the ``float`` name, the floating-point functions of ``math`` and numpy's
-float dtypes, whether named as attributes or as dtype strings.
+The float check walks the syntax tree of every module and refuses float
+literals, the ``float`` name, the floating-point functions of ``math`` and
+numpy's float dtypes, whether named as attributes or as dtype strings.  The
+integer check refuses, in the modules of ``INT_MODULES``, every ``int``
+cast (called, or passed as a function as in ``map(int, xs)``) and every use
+of ``operator.index`` outside ``exact_int``: ``int(1.7)`` truncates and
+``int("3")`` parses, and ``operator.index(True)`` is 1.
 """
 
 from __future__ import annotations
@@ -24,16 +29,25 @@ ALLOWED = {
     ("cli.py", "cmd_equidist", "float"):
         "frequencies go to spectral.weyl_defect_window, which is float by design",
 }
+# Modules whose integer arguments pass ``exact_int``; magnification, spectral and
+# cli convert numpy results and command-line text, which are not arguments.
+INT_MODULES = ("groups.py", "systems.py", "zline.py", "orbits.py", "verify.py")
 
 
-def _float_uses(tree: ast.AST):
-    """Yield (function, what, line) for each float construct in the tree."""
+def _owners(tree: ast.AST) -> dict:
+    """The name of the outermost function around each node of the tree."""
     scopes = [(node.name, node) for node in ast.walk(tree)
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     owner = {}
     for name, fn in scopes:
         for node in ast.walk(fn):
             owner.setdefault(node, name)  # outer functions come first in ast.walk
+    return owner
+
+
+def _float_uses(tree: ast.AST):
+    """Yield (function, what, line) for each float construct in the tree."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         what = None
         if isinstance(node, ast.Constant):
@@ -85,3 +99,46 @@ from math import exp
     kinds = sorted(what for _, what, _ in _float_uses(ast.parse(source)))
     assert kinds == ["0.5", "float", "float32", "from math import exp", "math.sqrt",
                      "np.float64"]
+
+
+def _int_casts(tree: ast.AST):
+    """Yield (function, what, line) for each int cast and each operator.index
+    outside ``exact_int``."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "int":
+                what = "int(...)"
+            elif any(isinstance(a, ast.Name) and a.id == "int" for a in node.args):
+                what = "int as an argument"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "operator" and node.attr == "index"):
+            what = "operator.index"
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+            if any(a.name == "index" for a in node.names):
+                what = "from operator import index"
+        function = owner.get(node, "<module>")
+        if what is not None and not (what == "operator.index" and function == "exact_int"):
+            yield function, what, node.lineno
+
+
+def test_integers_enter_the_exact_modules_only_through_exact_int():
+    found = []
+    for name in INT_MODULES:
+        for function, what, line in _int_casts(ast.parse((SRC / name).read_text())):
+            found.append(f"{name}:{line} in {function}: {what}")
+    assert found == []
+
+
+def test_the_lint_sees_each_kind_of_int_cast():
+    source = '''
+from operator import index
+def exact_int(v):
+    return operator.index(v)
+def f(v, xs):
+    return int(v) + sum(map(int, xs)) + operator.index(v)
+'''
+    kinds = sorted((fn, what) for fn, what, _ in _int_casts(ast.parse(source)))
+    assert kinds == [("<module>", "from operator import index"), ("f", "int as an argument"),
+                     ("f", "int(...)"), ("f", "operator.index")]

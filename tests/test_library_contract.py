@@ -1,0 +1,208 @@
+"""The library's input contract, the counterpart of ``test_cli_contract.py``.
+
+Each public constructor and check is fed one scalar in one of its numeric
+positions: an integer in or out of range, a numpy integer (often 64 or
+more, where a shift of a numpy int64 overflows), a float, a bool, a
+numeric string or None.  Every call ends in a result or a ``ValueError``.
+A numpy integer gives the same result, to the repr, as the Python integer
+it equals; a float or a bool is refused everywhere, and so is a string or
+None where an integer is expected.  Out-of-range integers are drawn only
+where they are rejected or cheap, so each call stays small.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumsetlab import (
+    FiniteSet,
+    LevelProfile,
+    SplitMix64,
+    StateSubset,
+    Tail,
+    char_value,
+    check_cor1_cor3_zline,
+    check_cor2_group,
+    check_levelset,
+    check_petridis_growth,
+    check_petridis_lemma,
+    check_prop2_minmax,
+    check_prop12,
+    check_prop13_increment,
+    check_prop21,
+    check_thm1,
+    check_thm2,
+    disjoint_union,
+    finite,
+    finite_set,
+    floor_three_halves,
+    is_ergodic_basis,
+    iterated_sumset,
+    mag_ratio_delta,
+    make_group,
+    make_system,
+    orbit_closure,
+    periodic,
+    petridis_constants,
+    quotient_system,
+    recovery_window_ok,
+    regular_system,
+    shift,
+    state_subset,
+    translate,
+    verify_correspondence,
+    weyl_defect_window,
+    window_density,
+    zcontains,
+    zdesc,
+    zsumset_iterated,
+)
+from sumsetlab.verify import CampaignConfig
+
+Z2, Z8, Z128 = make_group([2]), make_group([8]), make_group([128])
+R8, R128 = regular_system(Z8), regular_system(Z128)
+A, F, A128 = finite_set(Z8, [0, 1]), finite_set(Z8, [0]), finite_set(Z128, [0, 3])
+B, Bp = state_subset(R8, [0, 4]), state_subset(R8, [0])
+S = periodic(3, [0])
+ORBIT = orbit_closure(S)
+
+WIDE = st.integers(-3, 300)  # every site below is cheap up to 300
+K = st.integers(-3, 70)  # a k-fold sumset on the line costs k - 1 sumsets
+RATIONAL = st.integers(-3, 3)
+
+# (position, kind, integers drawn for it, call); kind "int" refuses every
+# non-integer, "int or None" takes None as a default, "rational" takes strings.
+SITES = [
+    ("make_group order", "int", WIDE, lambda v: make_group([v])),
+    ("GroupSpec.digits", "int", WIDE, lambda v: Z128.digits(v)),
+    ("GroupSpec.index", "int", WIDE, lambda v: Z128.index([v])),
+    ("char_value", "int", WIDE, lambda v: char_value(Z128, 1, v)),
+    ("finite_set member", "int", WIDE, lambda v: finite_set(Z128, [v])),
+    ("FiniteSet mask", "int", WIDE, lambda v: FiniteSet(Z8, v)),
+    ("translate", "int", WIDE, lambda v: translate(A128, v)),
+    ("iterated_sumset k", "int", WIDE, lambda v: iterated_sumset(A, v)),
+    ("state_subset member", "int", WIDE, lambda v: state_subset(R128, [v])),
+    ("StateSubset mask", "int", WIDE, lambda v: StateSubset(R8, v)),
+    ("ActionSystem.apply state", "int", WIDE, lambda v: R128.apply(3, v)),
+    ("ActionSystem.apply element", "int", WIDE, lambda v: R128.apply(v, 5)),
+    ("make_system states", "int", WIDE, lambda v: make_system(Z2, v, [[1, 0]])),
+    ("make_system entry", "int", WIDE, lambda v: make_system(Z2, 2, [[v, 0]])),
+    ("make_system weight", "rational", RATIONAL,
+     lambda v: make_system(Z2, 2, [[1, 0]], [v, v])),
+    ("quotient_system order", "int", WIDE, lambda v: quotient_system(Z128, [v])),
+    ("disjoint_union weight", "rational", RATIONAL, lambda v: disjoint_union(R8, R8, v)),
+    ("is_ergodic_basis k", "int", WIDE, lambda v: is_ergodic_basis(R8, A, v)),
+    ("mag_ratio_delta delta", "rational", RATIONAL, lambda v: mag_ratio_delta(R8, A, B, v)),
+    ("Tail period", "int", WIDE, lambda v: Tail(v, [0])),
+    ("Tail residue", "int", WIDE, lambda v: Tail(300, [v])),
+    ("zdesc member", "int", WIDE, lambda v: zdesc([v])),
+    ("zdesc lo", "int or None", WIDE, lambda v: zdesc([], v)),
+    ("zdesc hi", "int or None", WIDE, lambda v: zdesc([0], 0, v)),
+    ("periodic period", "int", WIDE, lambda v: periodic(v, [0])),
+    ("periodic residue", "int", WIDE, lambda v: periodic(300, [v])),
+    ("finite member", "int", WIDE, lambda v: finite([v])),
+    ("shift", "int", WIDE, lambda v: shift(S, v)),
+    ("zcontains", "int", WIDE, lambda v: zcontains(S, v)),
+    ("window_density hi", "int", WIDE, lambda v: window_density(S, 0, v)),
+    ("zsumset_iterated k", "int", K, lambda v: zsumset_iterated(S, v)),
+    ("verify_correspondence A", "int", WIDE, lambda v: verify_correspondence(S, [v])),
+    ("recovery_window_ok hi", "int", WIDE, lambda v: recovery_window_ok(ORBIT, 0, v)),
+    ("weyl_defect_window member", "int", WIDE,
+     lambda v: weyl_defect_window([v], 301, [0.25])),
+    ("weyl_defect_window window", "int", WIDE,
+     lambda v: weyl_defect_window([0], v, [0.25])),
+    ("floor_three_halves", "int", WIDE, lambda v: floor_three_halves(v)),
+    ("petridis_constants |A|", "int", WIDE, lambda v: petridis_constants(v, 2)),
+    ("petridis_constants k", "int", WIDE, lambda v: petridis_constants(2, v)),
+    ("SplitMix64 seed", "int", WIDE, lambda v: SplitMix64(v).next_u64()),
+    ("check_thm1 k", "int", K, lambda v: check_thm1(R8, finite_set(Z8, range(8)), B, v)),
+    ("check_thm2 k", "int", K, lambda v: check_thm2(R8, A, B, v)),
+    ("check_cor2_group k", "int", K, lambda v: check_cor2_group(A, F, v)),
+    ("check_cor1_cor3_zline k", "int", K, lambda v: check_cor1_cor3_zline(S, S, v)),
+    ("check_prop12 k", "int", K, lambda v: check_prop12(R8, A, B, v)),
+    ("check_prop21 k", "int", K, lambda v: check_prop21(R8, A, B, v)),
+    ("check_petridis_lemma eps", "rational", RATIONAL,
+     lambda v: check_petridis_lemma(R8, A, B, Bp, F, v)),
+    ("check_petridis_growth eps", "rational", RATIONAL,
+     lambda v: check_petridis_growth(R8, A, B, Bp, v, 1)),
+    ("check_petridis_growth k", "int", K,
+     lambda v: check_petridis_growth(R8, A, B, Bp, Fraction(1, 2), v)),
+    ("check_prop13_increment delta", "rational", RATIONAL,
+     lambda v: check_prop13_increment(R8, A, B, Bp, v, 1)),
+    ("check_prop13_increment k", "int", K,
+     lambda v: check_prop13_increment(R8, A, B, Bp, Fraction(1, 2), v)),
+    ("check_prop2_minmax delta", "rational", RATIONAL,
+     lambda v: check_prop2_minmax(R8, finite_set(Z8, range(8)), B, v)),
+    ("LevelProfile coefficient", "rational", RATIONAL,
+     lambda v: LevelProfile(R8, (B,), (v,))),
+    ("check_levelset eps", "rational", RATIONAL,
+     lambda v: check_levelset(LevelProfile.equal_weights(R8, [B]), A, [v])),
+] + [
+    (f"CampaignConfig {field}", "int", WIDE, lambda v, field=field: CampaignConfig(**{field: v}))
+    for field in ("seed", "instances", "max_order", "max_set")
+] + [
+    ("CampaignConfig k_values", "int", WIDE, lambda v: CampaignConfig(k_values=(v,))),
+    ("CampaignConfig deltas", "rational", RATIONAL, lambda v: CampaignConfig(deltas=(v,))),
+    ("CampaignConfig epsilons", "rational", RATIONAL,
+     lambda v: CampaignConfig(epsilons=(v,))),
+]
+
+NUMPY_INTS = (np.int16, np.int32, np.int64, np.uint16, np.uint64)
+STRINGS = st.sampled_from(["70", "-3", "1/2", " 2/6", "0.5", "1/0", "1e3", "", "x"])
+
+
+@st.composite
+def numpy_int(draw, ints):
+    value = draw(ints)
+    dtype = draw(st.sampled_from([t for t in NUMPY_INTS
+                                  if np.iinfo(t).min <= value <= np.iinfo(t).max]))
+    return dtype(value)
+
+
+@st.composite
+def cases(draw):
+    """(site, what the scalar is, the scalar)."""
+    site = draw(st.sampled_from(SITES))
+    ints = site[2]
+    kind, value = draw(st.one_of(
+        ints.map(lambda v: ("int", v)),
+        numpy_int(ints).map(lambda v: ("numpy", v)),
+        st.floats(allow_nan=True).map(lambda v: ("float", v)),
+        st.booleans().map(lambda v: ("bool", v)),
+        STRINGS.map(lambda v: ("str", v)),
+        st.none().map(lambda v: ("none", v)),
+    ))
+    return site, kind, value
+
+
+def outcome(call, value):
+    """repr of the result, or "ValueError"; any other exception propagates."""
+    try:
+        return repr(call(value))
+    except ValueError:
+        return "ValueError"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(cases())
+def test_every_numeric_argument_ends_in_a_result_or_a_value_error(case):
+    (name, kind, _, call), what, value = case
+    got = outcome(call, value)
+    if what == "numpy":
+        assert got == outcome(call, int(value)), (name, value)
+    refused = what in ("float", "bool") or (kind == "int" and what in ("str", "none")) \
+        or (kind == "rational" and what == "none")
+    if refused:
+        assert got == "ValueError", (name, value, got)
+
+
+def test_every_site_accepts_some_valid_value():
+    # A site that refused every valid value would pass the contract vacuously.
+    accepted = {name for name, kind, _, call in SITES
+                if any(outcome(call, v) != "ValueError"
+                       for v in (0, 1, 2, 3, 5) + (("1/2",) if kind == "rational" else ()))}
+    assert accepted == {name for name, *_ in SITES}

@@ -324,7 +324,7 @@ def differential_cases():
     for size in (3, 40):
         yield (sysm, finite_set(group, rng.sample(range(1024), size)),
                state_subset(sysm, rng.sample(range(1024), 12)))
-    # Past one block of 2^16 subsets, with and without ties everywhere.
+    # Past one block of 2^14 subsets, with and without ties everywhere.
     group = make_group([20])
     sysm = regular_system(group)
     B = state_subset(sysm, rng.sample(range(20), 17))
@@ -352,8 +352,8 @@ def test_least_ratio_looks_past_its_first_guess(dtype):
 
 
 def test_a_later_block_can_hold_the_smallest_tie():
-    # Ratio 1 is reached by {16}, {0, 17} and {0, 16, 17}, in blocks 1, 2 and 3
-    # of 2^16 subsets; the lexicographically smallest is the last one found.
+    # Ratio 1 is reached by {16}, {0, 17} and {0, 16, 17}, in blocks 4, 8 and 12
+    # of 2^14 subsets; the lexicographically smallest is the last one found.
     sysm = regular_system(make_group([128]))
     covers = {i: 0b111 << (3 * i) for i in range(1, 16)}
     covers[0] = covers[17] = 1 << 100 | 1 << 101
