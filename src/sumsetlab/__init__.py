@@ -5,6 +5,8 @@ eventually periodic subsets of the integers — everything exact rational
 except the spectral module, which is explicitly float.
 """
 
+from types import ModuleType as _ModuleType
+
 from .groups import (
     FiniteSet,
     GroupSpec,
@@ -86,7 +88,6 @@ from .verify import (
 )
 from .zline import (
     Tail,
-    ZSetDesc,
     banach_lower,
     banach_upper,
     finite,
@@ -104,3 +105,9 @@ from .zline import (
 )
 
 __version__ = "0.1.0"
+
+# The public names are those imported above.  ``zline.ZSetDesc`` is not one of
+# them: ``zdesc`` is the one public constructor, the one that checks and
+# normalises a descriptor.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

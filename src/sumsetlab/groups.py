@@ -178,19 +178,8 @@ class GroupSpec:
             out += (exact_int(d, "digit") % n) * stride
         return out
 
-    def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.index(x + y for x, y in zip(da, db))
-
     def neg(self, a: int) -> int:
         return self.index(-d for d in self.digits(a))
-
-    def generator(self, j: int) -> int:
-        """Index of the unit element of the j-th cyclic factor.
-
-        A trivial factor has only the identity, so its unit is 0.
-        """
-        return self.strides[j] if self.orders[j] > 1 else 0
 
     def translate_mask(self, mask: int, g: int) -> int:
         """Translate a subset bitmask by the group element g."""

@@ -30,12 +30,20 @@ cut to cut.  Arcs live in flat lists, arc e and arc e ^ 1 forming a
 residual pair.  ``_max_flow`` is Dinic's algorithm with an iterative
 blocking-flow search.  A greedy pass first pushes along each source -> b
 -> x -> sink path in stored order, which on these networks carries most of
-the flow, so few phases remain.  Within a phase the search resumes at the
-tail of the first arc an augmentation saturated, and a node that dead-ends
-leaves the level graph.  None of this can move the cut: every maximum flow
-leaves the same residual reachable set, and the nodes the last
-breadth-first search reaches are that set, the minimal source side of a
-minimum cut, hence the minimal closure.  A
+the flow, so few phases remain.  Each phase labels nodes by their residual
+distance to the sink, by a breadth-first search over reversed arcs that
+stops once the source has a label, and the blocking search only steps from
+distance d to distance d - 1.  Levels counted from the source would admit
+every node at the right depth, also the many that cannot reach the sink,
+and the search would walk into each of them; with distances to the sink
+every labelled node starts the phase with a way down, so the search only
+dead-ends behind arcs saturated in that phase.  Within a phase the search
+resumes at the tail of the first arc an augmentation saturated.  None of
+this can move the cut: every maximum flow leaves the same residual
+reachable set.  Once the source gets no label the flow is maximum, and one
+forward breadth-first search from the source finds that set, the minimal
+source side of a minimum cut, hence the minimal closure; the nodes that
+cannot reach the sink form the maximal source side, which can be larger.  A
 flow result's ``nodes`` and ``edges`` describe this one network, the same
 for every cut: source, sink, one node per candidate and per covered state,
 and one edge per source, sink and cover arc (reverse arcs not counted).
@@ -126,19 +134,24 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
 
     Arc e runs to head[e] with residual capacity cap[e], which is updated in
     place; arc e ^ 1 is its reverse and adj[u] lists the arcs leaving u.
-    Returns the flow and the levels of the last breadth-first search: the
-    nodes it reached (level >= 0) are the minimal source side of a minimum
-    cut.  Every maximum flow leaves the same residual reachable set, so how
-    the flow is found does not change the cut.
+    Returns the flow and the levels of a breadth-first search from the
+    source on the final residual network: the nodes it reached (level >= 0)
+    are the minimal source side of a minimum cut.  Every maximum flow leaves
+    the same residual reachable set, so how the flow is found does not
+    change the cut.
 
     A greedy start walks each source -> u -> v -> sink path once, in stored
     order, and pushes what the source arc and the sink arc still hold; on
     the closure network this carries most of the flow before the first
-    phase.  Each phase then builds levels by a breadth-first search that
-    stops expanding once it has set the sink's level, and finds a blocking
-    flow without recursion: after an augmentation the search resumes at the
-    tail of the first arc it saturated, and a node that dead-ends leaves
-    the level graph for the rest of the phase.
+    phase.  Each phase labels nodes with their residual distance to the
+    sink, by a breadth-first search over reversed arcs that stops once the
+    source has a label, and finds a blocking flow along arcs that lower the
+    distance by one, without recursion.  At the start of a phase every
+    labelled node has such an arc, so the search dead-ends only where this
+    phase saturated one; after an augmentation it resumes at the tail of
+    the first arc it saturated, and a node that dead-ends loses its label
+    for the rest of the phase.  When the source gets no label, no residual
+    path reaches the sink and the forward search returns the cut.
     """
     n = len(adj)
     flow = 0
@@ -165,21 +178,37 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
         cap[e ^ 1] += pushed
         flow += pushed
     while True:
-        level = [-1] * n
-        level[0] = 0
-        frontier = [0]
-        while frontier and level[1] < 0:
+        dist = [-1] * n  # residual distance to the sink; -1: none, or dead this phase
+        dist[1] = 0
+        frontier = [1]
+        while frontier and dist[0] < 0:
             nxt = []
-            for u in frontier:
-                deeper = level[u] + 1
-                for e in adj[u]:
-                    if cap[e]:
-                        v = head[e]
-                        if level[v] < 0:
-                            level[v] = deeper
-                            nxt.append(v)
+            for v in frontier:
+                if dist[0] >= 0:
+                    break
+                d = dist[v] + 1
+                for e in adj[v]:  # e runs v -> u, so its pair e ^ 1 runs u -> v
+                    if cap[e ^ 1]:
+                        u = head[e]
+                        if dist[u] < 0:
+                            dist[u] = d
+                            nxt.append(u)
             frontier = nxt
-        if level[1] < 0:
+        if dist[0] < 0:
+            level = [-1] * n
+            level[0] = 0
+            frontier = [0]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    deeper = level[u] + 1
+                    for e in adj[u]:
+                        if cap[e]:
+                            v = head[e]
+                            if level[v] < 0:
+                                level[v] = deeper
+                                nxt.append(v)
+                frontier = nxt
             return flow, level
         it = [0] * n
         path: list[int] = []  # arcs from the source to u
@@ -196,15 +225,15 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
                 flow += pushed
                 u = head[path[k] ^ 1]  # resume at the tail of the first saturated arc
                 del path[k:]
-            arcs, i, deeper = adj[u], it[u], level[u] + 1
-            while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == deeper):
+            arcs, i, lower = adj[u], it[u], dist[u] - 1
+            while i < len(arcs) and not (cap[arcs[i]] and dist[head[arcs[i]]] == lower):
                 i += 1
             it[u] = i
             if i < len(arcs):
                 path.append(arcs[i])
                 u = head[arcs[i]]
-            elif path:  # dead end: u leaves the level graph, retreat
-                level[u] = -1
+            elif path:  # dead end: u loses its label, retreat
+                dist[u] = -1
                 u = head[path.pop() ^ 1]
             else:
                 break

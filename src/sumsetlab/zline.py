@@ -42,7 +42,6 @@ __all__ = [
     "MAX_SUMSET_SPAN",
     "MAX_SUMSET_WORK",
     "Tail",
-    "ZSetDesc",
     "zdesc",
     "periodic",
     "finite",

@@ -27,6 +27,11 @@ def groups(draw, max_order=16, max_factors=2):
     return make_group(orders)
 
 
+def group_add(group, a, b):
+    """Reference sum a + b in the group: add the digits factor by factor."""
+    return group.index(x + y for x, y in zip(group.digits(a), group.digits(b)))
+
+
 def _prod(xs):
     out = 1
     for x in xs:

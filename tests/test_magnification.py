@@ -629,3 +629,51 @@ def test_every_cut_carries_a_flow_certificate(monkeypatch):
         check_witness(sysm, A, B, result)
         rounds += result.iterations
     assert len(cuts) == rounds and max(cuts) > 2000
+
+
+def paired_network(n, arcs):
+    """adj, head and cap for ``_max_flow``: arc (u, v, c) is followed by its empty reverse."""
+    adj, head, cap = [[] for _ in range(n)], [], []
+    for u, v, c in arcs:
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+    return adj, head, cap
+
+
+def reaching_the_sink(adj, head, cap):
+    """Nodes with a residual path to node 1."""
+    reach, stack = {1}, [1]
+    while stack:
+        for e in adj[stack.pop()]:
+            if cap[e ^ 1] and head[e] not in reach:
+                reach.add(head[e])
+                stack.append(head[e])
+    return reach
+
+
+@pytest.mark.parametrize("n, arcs, value, minimal, maximal", [
+    # Every arc is a minimum cut: the source side is {0}, yet 2 and 3 cannot
+    # reach the sink either.
+    (4, [(0, 2, 1), (2, 3, 1), (3, 1, 1)], 1, {0}, {0, 2, 3}),
+    # The greedy start sends 0 -> 2 -> 4 -> 1 and nothing more; three phases
+    # follow, on paths of four arcs (6, 7, 8), five (3, 4, 2, 5, through the
+    # reverse of 2 -> 4) and six (9 to 13, bottleneck 10 -> 11).
+    (14, [(0, 2, 1), (0, 3, 2), (2, 4, 1), (2, 5, 1), (3, 4, 1), (4, 1, 1), (5, 1, 1),
+          (0, 6, 1), (6, 7, 1), (7, 8, 1), (8, 1, 1),
+          (0, 9, 3), (9, 10, 3), (10, 11, 1), (11, 12, 3), (12, 13, 3), (13, 1, 3)],
+     4, {0, 3, 9, 10}, {0, 2, 3, 4, 5, 6, 7, 8, 9, 10}),
+    # The source has nothing to send: no flow, and the cut is the source alone.
+    (4, [(0, 2, 0), (2, 1, 5), (3, 1, 2)], 0, {0}, {0}),
+])
+def test_max_flow_returns_the_minimal_source_side(n, arcs, value, minimal, maximal):
+    adj, head, cap = paired_network(n, arcs)
+    cap_in = list(cap)
+    flow, level = magnification._max_flow(adj, head, cap)
+    assert flow == value
+    assert {v for v in range(n) if level[v] >= 0} == minimal
+    assert set(range(n)) - reaching_the_sink(adj, head, cap) == maximal
+    check_flow_certificate(adj, head, cap_in, cap, flow, level)

@@ -24,6 +24,8 @@ from sumsetlab import (
     zsumset_iterated,
 )
 
+import sumsetlab
+from sumsetlab import zline
 from sumsetlab.zline import MAX_SUMSET_SPAN, MAX_SUMSET_WORK, MAX_TAIL_PERIOD, Tail
 
 from conftest import zdescs
@@ -192,6 +194,20 @@ def test_zdesc_validation():
         periodic(0, [0])
     with pytest.raises(ValueError):
         periodic(3, [4])  # residue outside period
+
+
+def test_values_one_past_the_range_are_refused():
+    with pytest.raises(ValueError, match="residues in"):
+        Tail(4, frozenset({4}))  # residue equal to the period
+    with pytest.raises(ValueError, match="residues in"):
+        periodic(4, [4])
+    with pytest.raises(ValueError, match="inside the head window"):
+        zdesc([3], lo=0, hi=3)  # member at hi
+
+
+def test_zdesc_is_the_only_public_descriptor_constructor():
+    assert "ZSetDesc" not in sumsetlab.__all__
+    assert "ZSetDesc" not in zline.__all__
 
 
 def test_guards_accept_the_largest_workload_draws_and_reject_beyond():
