@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +34,7 @@ __all__ = [
     "GroupSpec",
     "FiniteSet",
     "bit_indices",
+    "collection",
     "frac_str",
     "exact_int",
     "index_mask",
@@ -96,11 +98,25 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"not a rational p/q: {value!r}")
 
 
+def collection(value, what: str) -> Iterator:
+    """An iterator over an argument that lists members, tables or entries.
+
+    A scalar, a string (or bytes) and a mapping are refused with one
+    ValueError rather than iterated: iterating them would raise TypeError or
+    silently read characters or keys."""
+    if not isinstance(value, (str, bytes, bytearray, Mapping)):
+        try:
+            return iter(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a collection, got {value!r}")
+
+
 def index_mask(members: Iterable[int], n: int, what: str, where: str) -> int:
     """The bitmask of members, each an integer in [0, n) as ``exact_int``
     reads it; ``what`` names a member and ``where`` the range in messages."""
     mask = 0
-    for x in members:
+    for x in collection(members, "members"):
         if type(x) is not int:  # a plain int is what exact_int returns unchanged
             x = exact_int(x, what)
         if not 0 <= x < n:
@@ -120,9 +136,10 @@ class GroupSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.orders:
+        clean = tuple(exact_int(n, "factor order")
+                      for n in collection(self.orders, "factor orders"))
+        if not clean:
             raise ValueError("group needs at least one cyclic factor")
-        clean = tuple(exact_int(n, "factor order") for n in self.orders)
         if any(n < 1 for n in clean):
             raise ValueError(f"factor orders must be positive, got {list(clean)}")
         order = math.prod(clean)
@@ -170,7 +187,7 @@ class GroupSpec:
         return tuple(out)
 
     def index(self, digits: Iterable[int]) -> int:
-        digits = tuple(digits)
+        digits = tuple(collection(digits, "digits"))
         if len(digits) != len(self.orders):
             raise ValueError(f"expected {len(self.orders)} digits, got {len(digits)}")
         out = 0
@@ -239,7 +256,7 @@ class FiniteSet:
 
 def make_group(orders: Iterable[int]) -> GroupSpec:
     """Build a group from cyclic factor orders; rejects empty or non-positive input."""
-    return GroupSpec(tuple(orders))
+    return GroupSpec(orders)
 
 
 def finite_set(group: GroupSpec, members: Iterable[int]) -> FiniteSet:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import bit_indices, exact_int, finite_set, frac_str, make_group
+from .groups import bit_indices, collection, exact_int, finite_set, frac_str, make_group
 from .systems import ActionSystem, StateSubset, apply_set, measure_of, regular_system, state_subset
 from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
 
@@ -166,7 +166,7 @@ def verify_correspondence(S: ZSetDesc, A: Iterable[int]) -> CorrespondenceReport
     and some listed nu satisfies
       d_lower(S) <= nu(B)          and   d_lower(A + S) >= nu(A.B).
     """
-    A = sorted({exact_int(a, "acting element") for a in A})
+    A = sorted({exact_int(a, "acting element") for a in collection(A, "acting set")})
     if not A:
         raise ValueError("acting set must be a non-empty finite set of integers")
     orb = orbit_closure(S)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteSet, GroupSpec, exact_int
+from .groups import FiniteSet, GroupSpec, collection, exact_int
 
 __all__ = [
     "char_value",
@@ -127,12 +127,13 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
     certificate.
     """
     window = exact_int(window, "window")
-    arr = np.asarray(sorted({exact_int(a, "window member") for a in A}), dtype=float)
+    members = {exact_int(a, "window member") for a in collection(A, "window set")}
+    arr = np.asarray(sorted(members), dtype=float)
     if arr.size == 0:
         raise ValueError("Weyl defect of the empty set is undefined")
     if arr.min() < 0 or arr.max() >= window:
         raise ValueError(f"set members must lie in [0, {window})")
-    freqs = np.asarray(list(frequencies), dtype=float)
+    freqs = np.asarray(list(collection(frequencies, "frequencies")), dtype=float)
     if freqs.size == 0:
         raise ValueError("frequency grid must be non-empty")
     if np.any(freqs <= 0) or np.any(freqs >= 1):

@@ -17,6 +17,14 @@ builds the system first and validates it on the same cycle tables and
 integer weights the system then uses: each generator is walked into cycles
 once, and sign, sum (= D) and invariance are integer comparisons.
 
+Built systems are shared.  ``quotient_system`` (and so ``regular_system``)
+and ``disjoint_union`` return one immutable ``ActionSystem`` per distinct
+argument, so its validation and cached tables are paid once per process.
+The memo keeps at most ``_MEMO_STATE_BUDGET`` states, least recently used
+first out, and a larger system is built but not kept; a union is keyed by
+the identity of its two parts.  ``make_system`` and ``system_from_json``
+always build and validate a new system.
+
 Ergodicity on a finite system reduces to orbit structure: invariance forces
 the measure to be constant on each orbit, so the system is ergodic exactly
 when the support of the measure is a single orbit.
@@ -25,6 +33,8 @@ when the support of the measure is a single orbit.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +45,7 @@ from .groups import (
     FiniteSet,
     GroupSpec,
     bit_indices,
+    collection,
     exact_int,
     frac_str,
     index_mask,
@@ -61,6 +72,8 @@ __all__ = [
     "disjoint_union",
     "system_to_json",
     "system_from_json",
+    "system_memo_info",
+    "clear_system_memo",
 ]
 
 
@@ -179,8 +192,9 @@ def make_system(
     states = exact_int(states, "state count")
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
+    rows = [collection(row, "generator table") for row in collection(action, "action")]
     try:
-        tables = tuple(tuple([exact_int(x, "table entry") for x in row]) for row in action)
+        tables = tuple(tuple([exact_int(x, "table entry") for x in row]) for row in rows)
     except (TypeError, ValueError):
         raise ValueError("generator table entries must be integers") from None
     if len(tables) != len(group.orders):
@@ -199,6 +213,7 @@ def make_system(
         # str entries are keys: True == 1.0 == 1, yet bools and floats are refused.
         parsed: dict[str, Fraction] = {}
         entries = []
+        measure = collection(measure, "measure")
         try:
             for w in measure:
                 if type(w) is str:
@@ -356,6 +371,58 @@ def is_ergodic_basis(sys: ActionSystem, A: FiniteSet, k: int) -> bool:
     return is_ergodic_set(sys, iterated_sumset(A, k))
 
 
+class _SystemMemo:
+    """Built systems by key, least recently used first.  An entry costs the
+    states of its system and of the systems its key pins; the entries cost at
+    most ``budget`` states together."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()  # key -> (system, cost, pinned)
+        self.states = self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+    def get(self, key, build, pinned: tuple[ActionSystem, ...] = ()) -> ActionSystem:
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                self.hits += 1
+                return entry[0]
+            self.misses += 1
+            sys = build()
+            cost = sys.states + sum(p.states for p in pinned)
+            if cost <= self.budget:
+                while self.states + cost > self.budget:
+                    self.states -= self.entries.popitem(last=False)[1][1]
+                self.entries[key] = (sys, cost, pinned)
+                self.states += cost
+            return sys
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.states = self.hits = self.misses = 0
+
+
+# About 100 bytes per kept state, so the memo holds a few MiB at most: the
+# systems a campaign draws at max_order <= 16 all fit, and a system of more
+# than 2^15 states is never kept.
+_MEMO_STATE_BUDGET = 1 << 15
+_memo = _SystemMemo(_MEMO_STATE_BUDGET)
+
+
+def system_memo_info() -> dict[str, int]:
+    """Hits, misses, kept systems and kept states of the system memo."""
+    return {"hits": _memo.hits, "misses": _memo.misses, "systems": len(_memo.entries),
+            "states": _memo.states, "budget": _memo.budget}
+
+
+def clear_system_memo() -> None:
+    """Forget every memoised system and zero the counters."""
+    _memo.clear()
+
+
 def regular_system(group: GroupSpec) -> ActionSystem:
     """The group acting on itself by translation, with uniform measure."""
     return quotient_system(group, group.orders)
@@ -367,7 +434,7 @@ def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSys
     Each target order must divide the corresponding factor order, so the
     digit-wise reduction is a homomorphism.
     """
-    target = GroupSpec(tuple(target_orders))
+    target = GroupSpec(target_orders)
     if len(target.orders) != len(group.orders):
         raise ValueError("quotient needs one target order per factor")
     for n, m in zip(group.orders, target.orders):
@@ -375,10 +442,15 @@ def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSys
             raise ValueError(f"target order {m} does not divide factor order {n}")
     n = target.cardinality
     _check_state_count(n)
-    # Generator j adds s = strides[j]: a rotation by s inside each block of s * orders[j] states.
-    tables = [[x - x % (s * m) + (x + s) % (s * m) for x in range(n)]
-              for s, m in zip(target.strides, target.orders)]
-    return make_system(group, n, tables)
+
+    def build() -> ActionSystem:
+        # Generator j adds s = strides[j]: a rotation by s inside each block of
+        # s * orders[j] states.
+        tables = [[x - x % (s * m) + (x + s) % (s * m) for x in range(n)]
+                  for s, m in zip(target.strides, target.orders)]
+        return make_system(group, n, tables)
+
+    return _memo.get((group, target), build)
 
 
 def disjoint_union(
@@ -393,12 +465,21 @@ def disjoint_union(
         raise ValueError(f"first_weight must be an int or a Fraction: {exc}") from None
     if not 0 < first_weight < 1:
         raise ValueError("first_weight must lie strictly between 0 and 1")
-    tables = []
-    for ra, rb in zip(a.generators, b.generators):
-        tables.append(list(ra) + [x + a.states for x in rb])
-    weights = [w * first_weight for w in a.weights]
-    weights += [w * (1 - first_weight) for w in b.weights]
-    return make_system(a.group, a.states + b.states, tables, weights)
+
+    def build() -> ActionSystem:
+        tables = []
+        for ra, rb in zip(a.generators, b.generators):
+            tables.append(list(ra) + [x + a.states for x in rb])
+        weights = []
+        for part, share in ((a, first_weight), (b, 1 - first_weight)):
+            # One Fraction per distinct weight, read in the part's units of 1/D.
+            scaled = {v: share * Fraction(v, part.denominator) for v in set(part.int_weights)}
+            weights += [scaled[v] for v in part.int_weights]
+        return make_system(a.group, a.states + b.states, tables, weights)
+
+    # Keyed by identity: the entry pins a and b, so their ids are not reused
+    # while it lives, and hashing them by value would hash every weight.
+    return _memo.get(("union", id(a), id(b), first_weight), build, (a, b))
 
 
 def system_to_json(sys: ActionSystem) -> dict:

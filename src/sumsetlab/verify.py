@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,6 +30,7 @@ from typing import Callable, Sequence
 from .groups import (
     FiniteSet,
     bit_indices,
+    collection,
     exact_int,
     finite_set,
     frac_str,
@@ -455,11 +457,6 @@ def check_prop22(sys: ActionSystem, A: FiniteSet, B: StateSubset,
                        witness={"c_mu_B": frac_str(c * mb), "c_A_B": frac_str(c)})
 
 
-def _level_mask(values: Sequence[Fraction], t: Fraction) -> int:
-    """The bitmask of the level set {x : values[x] >= t}."""
-    return sum(1 << x for x, v in enumerate(values) if v >= t)
-
-
 @dataclass(frozen=True)
 class LevelProfile:
     """A [0,1]-valued function as a positive combination of indicator sets."""
@@ -469,21 +466,28 @@ class LevelProfile:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not self.sets:
+        sets = tuple(collection(self.sets, "profile sets"))
+        coeffs = tuple(parse_fraction(c)
+                       for c in collection(self.coefficients, "profile coefficients"))
+        if not sets:
             raise ValueError("profile needs at least one indicator set")
-        if len(self.sets) != len(self.coefficients):
+        if len(sets) != len(coeffs):
             raise ValueError("one coefficient per indicator set required")
-        coeffs = tuple(parse_fraction(c) for c in self.coefficients)
+        if any(not isinstance(s, StateSubset)
+               or s.system is not self.system and s.system != self.system for s in sets):
+            raise ValueError("profile sets must be state subsets of the profile's system")
         if any(c <= 0 for c in coeffs):
             raise ValueError("profile coefficients must be positive")
         if sum(coeffs) > 1:
             raise ValueError("profile coefficients must sum to at most 1")
+        object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def equal_weights(cls, system: ActionSystem, sets: Sequence[StateSubset]) -> "LevelProfile":
+        sets = tuple(collection(sets, "profile sets"))
         m = len(sets)
-        return cls(system, tuple(sets), tuple(Fraction(1, m) for _ in range(m)))
+        return cls(system, sets, tuple(Fraction(1, m) for _ in range(m)))
 
     def values(self) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * self.system.states
@@ -504,44 +508,67 @@ def check_levelset(profile: LevelProfile, A: FiniteSet,
     translated sets; (iii) for phi(t) = mu(A E_t)/mu(E_t) and the threshold
     measure with density proportional to mu(E_t), the event
     {phi < mean(phi) + eps} has positive mass for each requested eps.
+
+    Everything is an integer in units of 1/(L*D), where L is the lcm of the
+    coefficient denominators and D is the system's: f and g are kept as L*f
+    and L*g, masses in units of 1/D.  Thresholds, both integrals and the
+    test ae < (mean + eps) * e are integer comparisons (the last one
+    cross-multiplied), and only lhs and rhs become Fractions.  Inclusion at
+    every threshold is checked pointwise, as g(a.x) >= f(x) for each x with
+    f(x) > 0 and each a in A: the two statements are equivalent.
     """
     name = "levelset"
     sys = profile.system
-    f = profile.values()
-    # Masses and the integrals are in units of 1/D, D = sys.denominator.
-    lhs = sum((fx * w for fx, w in zip(f, sys.int_weights)), Fraction(0)) / sys.denominator
-    thresholds = sorted({v for v in f if v > 0})
+    coeffs = profile.coefficients
+    L = math.lcm(*(c.denominator for c in coeffs))
+    support = 0
+    for subset in profile.sets:
+        support |= subset.mask
+    covers = cover_masks(sys, A, StateSubset(sys, support))
+    f, g = [0] * sys.states, [0] * sys.states
+    for c, subset in zip(coeffs, profile.sets):
+        unit = c.numerator * (L // c.denominator)
+        image = 0
+        for x in bit_indices(subset.mask):
+            f[x] += unit
+            image |= covers[x]
+        for y in bit_indices(image):
+            g[y] += unit
+
+    # The level set {f >= t} for each value t of f, grown from the top value down.
+    at_value: dict[int, int] = {}
+    for x in bit_indices(support):
+        at_value[f[x]] = at_value.get(f[x], 0) | 1 << x
+    thresholds = sorted(at_value)
     levels: list[tuple[int, int]] = []
-    integral_e = integral_ae = Fraction(0)
-    prev = Fraction(0)
-    for t in thresholds:
-        e_mask = _level_mask(f, t)
-        e, ae = sys.mass(e_mask), sys.mass(apply_set(sys, A, StateSubset(sys, e_mask)).mask)
-        levels.append((e, ae))
+    e_mask = ae_mask = 0
+    for t in reversed(thresholds):
+        e_mask |= at_value[t]
+        for x in bit_indices(at_value[t]):
+            ae_mask |= covers[x]
+        levels.append((sys.mass(e_mask), sys.mass(ae_mask)))
+    levels.reverse()
+    integral_e = integral_ae = prev = 0
+    for t, (e, ae) in zip(thresholds, levels):
         integral_e += (t - prev) * e
         integral_ae += (t - prev) * ae
         prev = t
-    rhs = integral_e / sys.denominator
-    identity = lhs == rhs
-
-    g = [Fraction(0)] * sys.states
-    for coeff, subset in zip(profile.coefficients, profile.sets):
-        for x in apply_set(sys, A, subset).indices():
-            g[x] += coeff
-    inclusion = True
-    for t in sorted({v for v in list(f) + g if v > 0}):
-        e_mask = _level_mask(f, t)
-        if e_mask and apply_set(sys, A, StateSubset(sys, e_mask)).mask & ~_level_mask(g, t):
-            inclusion = False
-            break
-
     if integral_e == 0:
         return _vacuous(name, instance, "profile mass is zero on the support")
-    mean = integral_ae / integral_e
-    cheb = {frac_str(eps): any(0 < e and ae < (mean + eps) * e for e, ae in levels)
-            for eps in map(parse_fraction, epsilons)}
+    total = sum(fx * wx for fx, wx in zip(f, sys.int_weights))
+    identity = total == integral_e
+    inclusion = all(g[y] >= f[x] for x in bit_indices(support)
+                    for y in bit_indices(covers[x]))
+    # ae < (mean + eps) * e with mean = integral_ae / integral_e and eps = p/q.
+    cheb = {}
+    for eps in map(parse_fraction, collection(epsilons, "epsilons")):
+        p, q = eps.numerator, eps.denominator
+        cheb[frac_str(eps)] = any(0 < e and ae * integral_e * q
+                                  < (integral_ae * q + p * integral_e) * e
+                                  for e, ae in levels)
     holds = identity and inclusion and all(cheb.values())
-    return CheckResult(name, instance, lhs, rhs, holds,
+    scale = L * sys.denominator
+    return CheckResult(name, instance, Fraction(total, scale), Fraction(integral_e, scale), holds,
                        witness={"identity": identity, "inclusion": inclusion,
                                 "cheb": cheb, "thresholds": len(thresholds)})
 
@@ -876,10 +903,10 @@ class CampaignConfig:
     epsilons: tuple[Fraction, ...] = (Fraction(1, 100), Fraction(1, 10))
 
     def __post_init__(self) -> None:
-        checks = tuple(self.checks)
+        checks = tuple(collection(self.checks, "checks"))
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            raise ValueError(f"unknown checks: {', '.join(map(str, unknown))}")
         if not checks:
             raise ValueError("no checks selected")
         repeated = sorted({c for c in checks if checks.count(c) > 1})
@@ -894,9 +921,11 @@ class CampaignConfig:
         if self.max_set < 1:
             raise ValueError("max_set must be >= 1")
         object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "k_values", tuple(exact_int(k, "k") for k in self.k_values))
-        object.__setattr__(self, "deltas", tuple(map(parse_fraction, self.deltas)))
-        object.__setattr__(self, "epsilons", tuple(map(parse_fraction, self.epsilons)))
+        object.__setattr__(self, "k_values", tuple(
+            exact_int(k, "k") for k in collection(self.k_values, "k_values")))
+        for key in ("deltas", "epsilons"):
+            object.__setattr__(self, key, tuple(
+                map(parse_fraction, collection(getattr(self, key), key))))
 
     def to_json(self) -> dict:
         return {

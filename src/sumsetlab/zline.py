@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import FiniteSet, bit_indices, exact_int, make_group, sumset
+from .groups import FiniteSet, bit_indices, collection, exact_int, make_group, sumset
 
 __all__ = [
     "MAX_TAIL_PERIOD",
@@ -81,7 +81,8 @@ class Tail:
             raise ValueError(f"tail period must be >= 1, got {period}")
         if period > MAX_TAIL_PERIOD:
             raise ValueError(f"tail period {period} exceeds the limit {MAX_TAIL_PERIOD}")
-        pat = frozenset(exact_int(r, "tail residue") for r in self.pattern)
+        pat = frozenset(exact_int(r, "tail residue")
+                        for r in collection(self.pattern, "tail pattern"))
         if any(not 0 <= r < period for r in pat):
             raise ValueError("tail pattern must consist of residues in [0, period)")
         object.__setattr__(self, "period", period)
@@ -132,7 +133,11 @@ def _tail_arg(value) -> Tail | None:
     if isinstance(value, Tail):
         tail = value
     else:
-        period, pattern = value
+        try:
+            period, pattern = collection(value, "tail")
+        except ValueError:
+            raise ValueError(f"a tail is a (period, pattern) pair, a Tail or None, "
+                             f"got {value!r}") from None
         tail = Tail(period, pattern)
     if not tail.pattern:
         return None
@@ -152,7 +157,7 @@ def zdesc(
     omitted the window is the tight hull of the members.  ``left`` and
     ``right`` are (period, pattern) pairs, Tail objects, or None.
     """
-    members = {exact_int(x, "head member") for x in head}
+    members = {exact_int(x, "head member") for x in collection(head, "head")}
     if lo is None:
         lo = min(members) if members else 0
     else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,11 @@ from sumsetlab import (
     run_campaign,
     state_subset,
 )
+
+from sumsetlab import verify
+from sumsetlab.groups import frac_str
+from sumsetlab.systems import StateSubset, apply_set, clear_system_memo, make_system
+from sumsetlab.verify import CheckResult
 
 from conftest import system_instances
 
@@ -417,6 +424,115 @@ def test_levelset_zero_mass_profile_is_vacuous():
     assert res.vacuous
 
 
+def reference_levelset(profile, A, epsilons=(Fraction(1, 10), Fraction(1, 100)),
+                       instance="adhoc"):
+    """``check_levelset`` as it was in Fractions, one apply_set per level set."""
+    def level_mask(values, t):
+        return sum(1 << x for x, v in enumerate(values) if v >= t)
+
+    sys = profile.system
+    f = profile.values()
+    lhs = sum((fx * w for fx, w in zip(f, sys.int_weights)), Fraction(0)) / sys.denominator
+    thresholds = sorted({v for v in f if v > 0})
+    levels = []
+    integral_e = integral_ae = prev = Fraction(0)
+    for t in thresholds:
+        e_mask = level_mask(f, t)
+        e, ae = sys.mass(e_mask), sys.mass(apply_set(sys, A, StateSubset(sys, e_mask)).mask)
+        levels.append((e, ae))
+        integral_e += (t - prev) * e
+        integral_ae += (t - prev) * ae
+        prev = t
+    rhs = integral_e / sys.denominator
+    identity = lhs == rhs
+    g = [Fraction(0)] * sys.states
+    for coeff, subset in zip(profile.coefficients, profile.sets):
+        for x in apply_set(sys, A, subset).indices():
+            g[x] += coeff
+    inclusion = True
+    for t in sorted({v for v in list(f) + g if v > 0}):
+        e_mask = level_mask(f, t)
+        if e_mask and apply_set(sys, A, StateSubset(sys, e_mask)).mask & ~level_mask(g, t):
+            inclusion = False
+            break
+    if integral_e == 0:
+        return CheckResult("levelset", instance, Fraction(0), Fraction(0), True, True,
+                           "profile mass is zero on the support")
+    mean = integral_ae / integral_e
+    cheb = {frac_str(eps): any(0 < e and ae < (mean + eps) * e for e, ae in levels)
+            for eps in map(Fraction, epsilons)}
+    holds = identity and inclusion and all(cheb.values())
+    return CheckResult("levelset", instance, lhs, rhs, holds,
+                       witness={"identity": identity, "inclusion": inclusion,
+                                "cheb": cheb, "thresholds": len(thresholds)})
+
+
+def _random_levelset_case(rng):
+    n = rng.randint(2, 24)
+    group = make_group([n])
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    style = rng.randrange(3)
+    if style == 0:
+        sysm = regular_system(group)
+    elif style == 1:
+        sysm = quotient_system(group, [rng.choice(divisors)])
+    else:  # non-uniform weights
+        sysm = disjoint_union(quotient_system(group, [rng.choice(divisors)]),
+                              quotient_system(group, [rng.choice(divisors)]),
+                              Fraction(rng.randint(1, 6), 7))
+    m = rng.randint(1, 6)
+    sets = tuple(state_subset(sysm, rng.sample(range(sysm.states),
+                                               rng.randint(0, sysm.states)))
+                 for _ in range(m))
+    # Distinct denominators, so the common unit L is their lcm, not any one of them.
+    coeffs = tuple(Fraction(rng.randint(1, 2), rng.choice([3, 5, 7, 9, 11, 12])) / m
+                   for _ in range(m))
+    A = finite_set(group, rng.sample(range(n), rng.randint(1, min(n, 5))))
+    epsilons = [Fraction(rng.randint(-3, 9), rng.randint(1, 40)) for _ in range(3)]
+    return LevelProfile(sysm, sets, coeffs), A, epsilons
+
+
+def _same_result(got, want):
+    assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+    assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+
+
+def test_levelset_matches_the_fraction_reference():
+    rng = random.Random(1717)
+    outcomes = set()
+    for _ in range(400):
+        profile, A, epsilons = _random_levelset_case(rng)
+        got = check_levelset(profile, A, epsilons)
+        _same_result(got, reference_levelset(profile, A, epsilons))
+        outcomes.add((got.vacuous, got.holds, tuple(got.witness.get("cheb", {}).values())))
+    # Both Chebyshev outcomes occur, not only the all-true one.
+    assert any(False in cheb for _, _, cheb in outcomes)
+    assert any(cheb and all(cheb) for _, _, cheb in outcomes)
+
+
+def test_levelset_matches_the_reference_on_zero_mass_states():
+    # Z/4 acting on two copies of itself with all the mass on the first copy.
+    rng = random.Random(5)
+    tables = [list(range(1, 4)) + [0] + list(range(5, 8)) + [4]]
+    hidden = make_system(Z4, 8, tables, ["1/4"] * 4 + ["0"] * 4)
+    for _ in range(100):
+        sets = tuple(state_subset(hidden, rng.sample(range(8), rng.randint(0, 8)))
+                     for _ in range(rng.randint(1, 4)))
+        profile = LevelProfile.equal_weights(hidden, sets)
+        A = finite_set(Z4, rng.sample(range(4), rng.randint(1, 4)))
+        _same_result(check_levelset(profile, A), reference_levelset(profile, A))
+    vacuous = LevelProfile.equal_weights(hidden, [state_subset(hidden, [4, 6])])
+    res = check_levelset(vacuous, finite_set(Z4, [1]))
+    assert res.vacuous
+    _same_result(res, reference_levelset(vacuous, finite_set(Z4, [1])))
+
+
+def test_levelset_refuses_sets_of_another_system():
+    other = state_subset(regular_system(Z8), [0])
+    with pytest.raises(ValueError, match="profile's system"):
+        LevelProfile.equal_weights(regular_system(Z4), [other])
+
+
 def test_transitive_regular_and_quotient_hold():
     sys_y = regular_system(Z8)
     sys_x = regular_system(Z8)
@@ -486,6 +602,27 @@ def test_campaign_prop12_hundred_instances_all_hold():
     assert report.summary()["checks"]["prop12"]["held"] == 100
 
 
+def test_system_memo_does_not_change_any_row(monkeypatch):
+    """Each check's rows are the same with the memo cleared before every
+    instance as with the memo left warm."""
+    cfg = CampaignConfig(seed=31, instances=25)
+
+    def cold(draw):
+        def run(*args):
+            clear_system_memo()
+            return draw(*args)
+        return run
+
+    run_campaign(cfg)  # warm
+    warm = run_campaign(cfg).rows
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        verify.Check(c.name, c.statement, cold(c.driver)) for c in verify.CHECKS))
+    cleared = run_campaign(cfg).rows
+    assert {row.check for row in warm} == set(CHECK_NAMES)
+    assert ([json.dumps(r.to_json(), sort_keys=True) for r in cleared]
+            == [json.dumps(r.to_json(), sort_keys=True) for r in warm])
+
+
 def test_campaign_zero_instances_empty_report():
     report = run_campaign(CampaignConfig(seed=1, instances=0))
     assert report.rows == ()
@@ -496,6 +633,8 @@ def test_campaign_zero_instances_empty_report():
 def test_campaign_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown checks"):
         CampaignConfig(checks=("prop12", "nosuch"))
+    with pytest.raises(ValueError, match="unknown checks: 5"):
+        CampaignConfig(checks=[5])
     with pytest.raises(ValueError, match="no checks selected"):
         CampaignConfig(checks=())
     with pytest.raises(ValueError, match="more than once: cor2"):

@@ -8,6 +8,11 @@ A numpy integer gives the same result, to the repr, as the Python integer
 it equals; a float or a bool is refused everywhere, and so is a string or
 None where an integer is expected.  Out-of-range integers are drawn only
 where they are rejected or cheap, so each call stays small.
+
+Each position that takes a collection (members, orders, tables, weights,
+a tail pair, profile sets, campaign lists) is fed a scalar, a string,
+bytes or a mapping, and refuses each with a ``ValueError``: none raises
+``TypeError`` or reads characters or keys as members.
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
     FiniteSet,
+    GroupSpec,
     LevelProfile,
     SplitMix64,
     StateSubset,
@@ -40,6 +47,7 @@ from sumsetlab import (
     finite,
     finite_set,
     floor_three_halves,
+    full_states,
     is_ergodic_basis,
     iterated_sumset,
     mag_ratio_delta,
@@ -206,3 +214,50 @@ def test_every_site_accepts_some_valid_value():
                 if any(outcome(call, v) != "ValueError"
                        for v in (0, 1, 2, 3, 5) + (("1/2",) if kind == "rational" else ()))}
     assert accepted == {name for name, *_ in SITES}
+
+
+# (position, a valid collection, call); each call takes the collection.
+COLLECTION_SITES = [
+    ("make_group orders", [8], lambda v: make_group(v)),
+    ("GroupSpec orders", [8], lambda v: GroupSpec(v)),
+    ("GroupSpec.index digits", [3], lambda v: Z128.index(v)),
+    ("finite_set members", [0, 1], lambda v: finite_set(Z8, v)),
+    ("state_subset members", [0, 1], lambda v: state_subset(R8, v)),
+    ("make_system action", [[1, 0]], lambda v: make_system(Z2, 2, v)),
+    ("make_system table", [1, 0], lambda v: make_system(Z2, 2, [v])),
+    ("make_system measure", ["1/2", "1/2"], lambda v: make_system(Z2, 2, [[1, 0]], v)),
+    ("quotient_system orders", [4], lambda v: quotient_system(Z8, v)),
+    ("Tail pattern", [0, 3], lambda v: Tail(4, v)),
+    ("zdesc head", [0, 2], lambda v: zdesc(v)),
+    ("zdesc left tail", (4, [1]), lambda v: zdesc([0], 0, 1, left=v)),
+    ("zdesc right tail", (4, [1]), lambda v: zdesc([0], 0, 1, right=v)),
+    ("periodic pattern", [0], lambda v: periodic(3, v)),
+    ("finite members", [0, 5], lambda v: finite(v)),
+    ("verify_correspondence A", [0, 1], lambda v: verify_correspondence(S, v)),
+    ("weyl_defect_window members", [0, 3], lambda v: weyl_defect_window(v, 8, [0.25])),
+    ("weyl_defect_window frequencies", [0.25], lambda v: weyl_defect_window([0], 8, v)),
+    ("LevelProfile sets", [B], lambda v: LevelProfile(R8, v, (Fraction(1, 2),))),
+    ("LevelProfile coefficients", ["1/2"], lambda v: LevelProfile(R8, (B,), v)),
+    ("LevelProfile.equal_weights sets", [B], lambda v: LevelProfile.equal_weights(R8, v)),
+    ("check_levelset epsilons", ["1/10"],
+     lambda v: check_levelset(LevelProfile.equal_weights(R8, [B]), A, v)),
+    ("CampaignConfig checks", ["prop12"], lambda v: CampaignConfig(checks=v)),
+    ("CampaignConfig k_values", [2], lambda v: CampaignConfig(k_values=v)),
+    ("CampaignConfig deltas", ["1/2"], lambda v: CampaignConfig(deltas=v)),
+    ("CampaignConfig epsilons", ["1/2"], lambda v: CampaignConfig(epsilons=v)),
+]
+
+# None selects the default at these positions: the uniform measure, no tail.
+NONE_IS_DEFAULT = {"make_system measure", "zdesc left tail", "zdesc right tail"}
+NOT_COLLECTIONS = [5, np.int64(5), np.array(5), 0.5, True, None, "", "01", "prop12",
+                   b"\x01", {1: 2}, {}, R8, full_states(R8).mask]
+
+
+@pytest.mark.parametrize("name, valid, call", COLLECTION_SITES,
+                         ids=[site[0] for site in COLLECTION_SITES])
+def test_every_collection_argument_refuses_scalars_strings_and_mappings(name, valid, call):
+    call(valid)  # the site accepts a collection
+    for value in NOT_COLLECTIONS:
+        if value is None and name in NONE_IS_DEFAULT:
+            continue
+        assert outcome(call, value) == "ValueError", (name, value)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +37,13 @@ from sumsetlab import (
 )
 
 from sumsetlab import systems as systems_module
-from sumsetlab.systems import MAX_STATES, ActionSystem, cover_masks
+from sumsetlab.systems import (
+    MAX_STATES,
+    ActionSystem,
+    clear_system_memo,
+    cover_masks,
+    system_memo_info,
+)
 
 from conftest import group_add, sets_in, system_instances, systems
 
@@ -125,6 +136,7 @@ def test_each_generator_is_walked_into_cycles_once(monkeypatch):
         return original(row)
 
     monkeypatch.setattr(systems_module, "_cycle_table", counting)
+    clear_system_memo()  # a memoised Z/6 x Z/4 from an earlier test walks nothing
     group = make_group([6, 4])
     sysm = regular_system(group)
     apply_set(sysm, finite_set(group, [1, 7]), state_subset(sysm, [0, 5]))
@@ -452,3 +464,80 @@ def test_state_count_is_bounded_before_tables_are_built():
     n = MAX_STATES + 1
     with pytest.raises(ValueError, match=f"state count {n} exceeds"):
         make_system(make_group([n]), n, [list(range(1, n)) + [0]])
+
+
+# ---------------------------------------------------------------------------
+# the system memo
+
+
+def test_memo_hit_returns_the_same_system():
+    clear_system_memo()
+    q = quotient_system(make_group([12]), [4])
+    assert quotient_system(make_group([12]), (4,)) is q
+    assert regular_system(make_group([6, 4])) is quotient_system(make_group([6, 4]), [6, 4])
+    u = disjoint_union(q, regular_system(make_group([12])), Fraction(1, 3))
+    assert disjoint_union(q, regular_system(make_group([12])), "1/3") is u
+    assert disjoint_union(q, regular_system(make_group([12]))) is not u
+    info = system_memo_info()
+    assert (info["hits"], info["misses"], info["systems"]) == (5, 5, 5)
+    # Z/4, Z/12, Z/6 x Z/4, then each union's 16 states and the 4 + 12 it pins.
+    assert info["states"] == 4 + 12 + 24 + (16 + 4 + 12) + (16 + 4 + 12)
+
+
+def test_built_systems_are_never_memoised():
+    sysm = regular_system(Z8)
+    data = system_to_json(sysm)
+    first, second = system_from_json(data), system_from_json(data)
+    assert first == sysm and first is not sysm and second is not first
+    assert make_system(Z8, 8, sysm.generators) is not make_system(Z8, 8, sysm.generators)
+
+
+def test_memo_keeps_at_most_its_state_budget():
+    clear_system_memo()
+    budget = system_memo_info()["budget"]
+    built = 0
+    for n in range(2, 400):
+        group = make_group([n])
+        half = quotient_system(group, [n if n % 2 else n // 2])
+        built += regular_system(group).states + disjoint_union(half, half).states
+        info = system_memo_info()
+        assert info["states"] <= budget
+        assert info["states"] == sum(cost for _, cost, _ in systems_module._memo.entries.values())
+    assert built > 2 * budget
+    # The most recent systems are the ones kept.
+    assert regular_system(make_group([399])) is regular_system(make_group([399]))
+
+
+def test_a_system_over_the_budget_is_not_kept():
+    clear_system_memo()
+    big = regular_system(make_group([65536]))
+    kept = weakref.ref(big)
+    assert system_memo_info()["states"] == 0
+    del big
+    gc.collect()
+    assert kept() is None
+
+
+def test_memo_counts_stay_consistent_across_threads():
+    clear_system_memo()
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            regular_system(make_group([rng.randint(2, 300)]))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    info = system_memo_info()
+    assert info["hits"] + info["misses"] == 800
+    kept = sum(cost for _, cost, _ in systems_module._memo.entries.values())
+    assert info["states"] == kept <= info["budget"]
