@@ -127,8 +127,9 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
     certificate.
     """
     window = exact_int(window, "window")
-    members = {exact_int(a, "window member") for a in collection(A, "window set")}
-    arr = np.asarray(sorted(members), dtype=float)
+    # One expression, so the member set is freed before the outer product.
+    arr = np.asarray(sorted({exact_int(a, "window member")
+                             for a in collection(A, "window set")}), dtype=float)
     if arr.size == 0:
         raise ValueError("Weyl defect of the empty set is undefined")
     if arr.min() < 0 or arr.max() >= window:

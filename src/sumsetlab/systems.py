@@ -390,14 +390,22 @@ class _SystemMemo:
                 self.hits += 1
                 return entry[0]
             self.misses += 1
-            sys = build()
-            cost = sys.states + sum(p.states for p in pinned)
-            if cost <= self.budget:
-                while self.states + cost > self.budget:
-                    self.states -= self.entries.popitem(last=False)[1][1]
-                self.entries[key] = (sys, cost, pinned)
-                self.states += cost
+        # Built outside the lock, so a hit never waits for a build and a build
+        # may itself use the memo.  If another thread kept the key meanwhile,
+        # its system is the shared one.
+        sys = build()
+        cost = sys.states + sum(p.states for p in pinned)
+        if cost > self.budget:
             return sys
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                return entry[0]
+            while self.states + cost > self.budget:
+                self.states -= self.entries.popitem(last=False)[1][1]
+            self.entries[key] = (sys, cost, pinned)
+            self.states += cost
+        return sys
 
     def clear(self) -> None:
         with self.lock:
@@ -470,11 +478,8 @@ def disjoint_union(
         tables = []
         for ra, rb in zip(a.generators, b.generators):
             tables.append(list(ra) + [x + a.states for x in rb])
-        weights = []
-        for part, share in ((a, first_weight), (b, 1 - first_weight)):
-            # One Fraction per distinct weight, read in the part's units of 1/D.
-            scaled = {v: share * Fraction(v, part.denominator) for v in set(part.int_weights)}
-            weights += [scaled[v] for v in part.int_weights]
+        weights = [w * first_weight for w in a.weights]
+        weights += [w * (1 - first_weight) for w in b.weights]
         return make_system(a.group, a.states + b.states, tables, weights)
 
     # Keyed by identity: the entry pins a and b, so their ids are not reused

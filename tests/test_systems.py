@@ -541,3 +541,48 @@ def test_memo_counts_stay_consistent_across_threads():
     assert info["hits"] + info["misses"] == 800
     kept = sum(cost for _, cost, _ in systems_module._memo.entries.values())
     assert info["states"] == kept <= info["budget"]
+
+
+def test_racing_misses_share_one_system():
+    clear_system_memo()
+    group = make_group([6, 4])
+    barrier = threading.Barrier(4)
+    got = []
+
+    def work():
+        barrier.wait()
+        got.append(regular_system(group))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 4
+    assert all(s is got[0] for s in got)
+    assert system_memo_info()["systems"] == 1
+
+
+def test_a_build_may_use_the_memo():
+    # The lock is not held while building, so a build that reaches the memo
+    # again (a union of fresh quotients) does not deadlock.
+    clear_system_memo()
+    group = make_group([8])
+    done = []
+
+    def work():
+        outer = systems_module._memo.get(
+            ("outer",), lambda: disjoint_union(regular_system(group), quotient_system(group, [4])))
+        done.append(outer)
+
+    t = threading.Thread(target=work, daemon=True)
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert done[0].states == 12
+    assert system_memo_info()["systems"] == 4

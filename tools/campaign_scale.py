@@ -2,8 +2,8 @@
 
 Two campaigns, each in one process with the memo cleared first:
 
-- ``default``: all 14 checks at the default sizes, ``--instances`` per check
-  (default 100, seed 1);
+- ``default``: all 14 checks at the default sizes, 100 instances per check,
+  seed 1;
 - ``prop12``: the configuration of ``test_acceptance_02``, 10,000 prop12
   instances at ``max_order=64`` (seed 2024, k in 1..4).
 
@@ -12,14 +12,12 @@ row holds, and seconds.  The memo's hits, misses, kept systems and kept
 states after it go to stderr.
 
     PYTHONPATH=src python3 tools/campaign_scale.py
-    PYTHONPATH=src python3 tools/campaign_scale.py --instances 20 --prop12-instances 1000
 
 Nothing here asserts a time.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -27,20 +25,15 @@ import time
 from sumsetlab.systems import clear_system_memo, system_memo_info
 from sumsetlab.verify import CampaignConfig, run_campaign
 
+CAMPAIGNS = (
+    ("default", CampaignConfig(seed=1, instances=100)),
+    ("prop12", CampaignConfig(seed=2024, instances=10_000, checks=("prop12",),
+                              max_order=64, k_values=(1, 2, 3, 4))),
+)
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--instances", type=int, default=100,
-                        help="instances per check of the default campaign (default: 100)")
-    parser.add_argument("--prop12-instances", type=int, default=10_000,
-                        help="instances of the prop12 campaign (default: 10000)")
-    args = parser.parse_args(argv)
-    campaigns = (
-        ("default", CampaignConfig(seed=1, instances=args.instances)),
-        ("prop12", CampaignConfig(seed=2024, instances=args.prop12_instances,
-                                  checks=("prop12",), max_order=64, k_values=(1, 2, 3, 4))),
-    )
-    for name, cfg in campaigns:
+
+def main() -> None:
+    for name, cfg in CAMPAIGNS:
         clear_system_memo()
         start = time.perf_counter()
         report = run_campaign(cfg)
