@@ -25,28 +25,43 @@ minimum exactly zero) or returns the minimal closure, a subset of strictly
 smaller ratio.  Successive minimizers are nested, so the loop performs at
 most |B| + 2 cuts; this bound is asserted.
 
-The network is built once per ratio and only its capacities change from
-cut to cut.  Arcs live in flat lists, arc e and arc e ^ 1 forming a
-residual pair.  ``_max_flow`` is Dinic's algorithm with an iterative
-blocking-flow search.  A greedy pass first pushes along each source -> b
--> x -> sink path in stored order, which on these networks carries most of
-the flow, so few phases remain.  Each phase labels nodes by their residual
-distance to the sink, by a breadth-first search over reversed arcs that
-stops once the source has a label, and the blocking search only steps from
-distance d to distance d - 1.  Levels counted from the source would admit
-every node at the right depth, also the many that cannot reach the sink,
-and the search would walk into each of them; with distances to the sink
-every labelled node starts the phase with a way down, so the search only
-dead-ends behind arcs saturated in that phase.  Within a phase the search
-resumes at the tail of the first arc an augmentation saturated.  None of
-this can move the cut: every maximum flow leaves the same residual
-reachable set.  Once the source gets no label the flow is maximum, and one
-forward breadth-first search from the source finds that set, the minimal
-source side of a minimum cut, hence the minimal closure; the nodes that
-cannot reach the sink form the maximal source side, which can be larger.  A
-flow result's ``nodes`` and ``edges`` describe this one network, the same
-for every cut: source, sink, one node per candidate and per covered state,
-and one edge per source, sink and cover arc (reverse arcs not counted).
+The cuts run on a folded copy of this network.  A covered state x that
+lies in A.{b} for exactly one candidate b is in A.S exactly when b is in
+S, so it needs no node of its own: its cost is charged to b, whose source
+arc carries the net profit max(p*W(b) - q*(sum of W(x) over b's private
+states), 0).  Only the states that two or more candidates cover keep a
+node, a sink arc and their cover arcs.  A candidate whose net profit is
+not positive gets no capacity: adding it to S never lowers
+mu(A.S) - t*mu(S), so it receives no flow and never joins the minimal
+closure, and a cut certifies t when its flow equals the sum of the
+positive net profits.  The objective is the same function of S, so its
+minimizers, hence the Dinkelbach iterates, the value and the witness, are
+those of the full network.
+
+The folded network is built once per ratio, in one pass over the cover
+masks, and only its capacities change from cut to cut.  Arcs live in flat
+lists, arc e and arc e ^ 1 forming a residual pair.  ``_max_flow`` is
+Dinic's algorithm with an iterative blocking-flow search.  A greedy pass
+first pushes along each source -> b -> x -> sink path in stored order,
+which on these networks carries most of the flow, so few phases remain.
+Each phase labels nodes by their residual distance to the sink, by a
+breadth-first search over reversed arcs that stops once the source has a
+label, and the blocking search only steps from distance d to distance
+d - 1.  Levels counted from the source would admit every node at the right
+depth, also the many that cannot reach the sink, and the search would walk
+into each of them; with distances to the sink every labelled node starts
+the phase with a way down, so the search only dead-ends behind arcs
+saturated in that phase.  Within a phase the search resumes at the tail of
+the first arc an augmentation saturated.  None of this can move the cut:
+every maximum flow leaves the same residual reachable set.  Once the
+source gets no label the flow is maximum, and one forward breadth-first
+search from the source finds that set, the minimal source side of a
+minimum cut, hence the minimal closure; the nodes that cannot reach the
+sink form the maximal source side, which can be larger.  A flow result's
+``nodes`` and ``edges`` still describe the full closure network, not the
+folded one: source, sink, one node per candidate and per covered state,
+and one edge per source, sink and cover arc (reverse arcs not counted),
+counted from the masks.
 
 The delta-constrained ratio, which additionally demands mu(S) >= delta *
 mu(B), is not one cut away - the constraint breaks the closure structure -
@@ -243,30 +258,50 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
     """Exact minimum of mu(A.S)/mu(S) over positive-measure S inside B.
 
     Returned witness is the final Dinkelbach iterate: a subset of B that
-    attains the minimum exactly.
+    attains the minimum exactly.  The cuts run on the folded network, where
+    each state that one candidate alone covers is charged to that candidate
+    and has no node; ``nodes`` and ``edges`` report the full closure network.
     """
     covers = _candidates(sys, A, B)
     cand = list(covers)
+    m = len(cand)
     w = sys.int_weights
-    union = 0
+    union = shared = 0
     for mask in covers.values():
+        shared |= union & mask
         union |= mask
-    xs = list(bit_indices(union))
 
-    # Node 0 is the source, 1 the sink, then the candidates, then xs.  Arcs
-    # [0, sources) leave the source, [sources, sinks) enter the sink and the
-    # rest are cover arcs; each even arc is followed by its reverse.
-    node_of_x = {x: 2 + len(cand) + i for i, x in enumerate(xs)}
-    adj: list[list[int]] = [[] for _ in range(2 + len(cand) + len(xs))]
-    head: list[int] = []
-    ends = ([(0, 2 + i) for i in range(len(cand))] + [(node_of_x[x], 1) for x in xs]
-            + [(2 + i, node_of_x[x]) for i, b in enumerate(cand) for x in bit_indices(covers[b])])
-    for u, v in ends:
-        adj[u].append(len(head))
-        head.append(v)
-        adj[v].append(len(head))
-        head.append(u)
-    sources, sinks = 2 * len(cand), 2 * (len(cand) + len(xs))
+    # Node 0 is the source, 1 the sink, then the candidates, then the shared
+    # states.  Arcs [0, sources) leave the source, [sources, sinks) enter the
+    # sink and the rest are cover arcs; each even arc is followed by its
+    # reverse.  A state that one candidate alone covers gets no node: its
+    # weight is summed into that candidate's private cost instead.
+    node = {x: v for v, x in enumerate(bit_indices(shared), 2 + m)}
+    sources = 2 * m
+    sinks = sources + 2 * len(node)
+    head = [0] * sinks
+    head[:sources:2] = range(2, 2 + m)
+    head[sources:sinks:2] = [1] * len(node)
+    head[sources + 1:sinks:2] = node.values()
+    adj = [list(range(0, sources, 2)), list(range(sources + 1, sinks, 2))]
+    adj += [[e] for e in range(1, sources, 2)]
+    adj += [[e] for e in range(sources, sinks, 2)]
+    private = []  # private[i]: the weight of the states only cand[i] covers
+    for u, b in enumerate(cand, 2):
+        out, own, mask = adj[u], 0, covers[b]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            x = low.bit_length() - 1
+            v = node.get(x)
+            if v is None:
+                own += w[x]
+            else:
+                out.append(len(head))
+                adj[v].append(len(head) + 1)
+                head += (v, u)
+        private.append(own)
+    cost = [w[x] for x in node]
 
     def ratio(sel: list[int]) -> Fraction:
         cover = 0
@@ -276,27 +311,31 @@ def mag_ratio(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> MagnificationR
 
     current = cand
     t = ratio(current)
-    for _round in range(len(cand) + 2):
-        # Minimize mu(A.S) - t*mu(S) over S in units of 1/(q*D): profit p*W(b),
-        # cost q*W(x); the minimum is the flow less the total profit.
+    for _round in range(m + 2):
+        # Minimize mu(A.S) - t*mu(S) over S in units of 1/(q*D): candidate b
+        # supplies its net profit p*W(b) - q*(its private cost), if positive,
+        # and a shared state costs q*W(x); the minimum is the flow less the
+        # supply.
         p, q = t.numerator, t.denominator
-        profit = [p * w[b] for b in cand]
-        cost = [q * w[x] for x in xs]
+        supply = [max(p * w[b] - q * own, 0) for b, own in zip(cand, private)]
+        total = sum(supply)
         cap = [0] * len(head)
-        cap[:sources:2] = profit
-        cap[sources:sinks:2] = cost
-        cap[sinks::2] = [sum(profit) + sum(cost) + 1] * (len(ends) - sinks // 2)
+        cap[:sources:2] = supply
+        cap[sources:sinks:2] = [q * c for c in cost]
+        # A cover arc holds more than all the supply, so no minimum cut holds one.
+        cap[sinks::2] = [total + 1] * ((len(head) - sinks) // 2)
         flow, level = _max_flow(adj, head, cap)
-        if flow == sum(profit):
+        if flow == total:
+            covered = union.bit_count()
             return MagnificationResult(
                 value=t,
                 witness=state_subset(sys, current),
                 method="flow",
-                nodes=len(adj),
-                edges=len(ends),
+                nodes=2 + m + covered,
+                edges=m + covered + sum(mask.bit_count() for mask in covers.values()),
                 iterations=_round + 1,
             )
-        assert flow < sum(profit), "parametric cut exceeded the current ratio"
+        assert flow < total, "parametric cut exceeded the current ratio"
         current = [b for i, b in enumerate(cand) if level[2 + i] >= 0]
         t = ratio(current)
     raise AssertionError("Dinkelbach loop exceeded the |B| + 2 cut bound")

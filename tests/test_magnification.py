@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -552,15 +554,48 @@ def flow_cases():
         for size in (6, 12):
             yield (sysm, finite_set(group, rng.sample(range(1024), size)),
                    state_subset(sysm, rng.sample(range(1024), 256)))
+    # Zero-weight covered states, covered by one candidate or by several.
+    for _ in range(30):
+        n = rng.choice([8, 12, 16])
+        group = make_group([n])
+        sysm = disjoint_union(quotient_system(group, [n]), quotient_system(group, [n // 2]),
+                              Fraction(1, 3))
+        ws = [rng.choice([0, 0, 1, 2, 5]) for _ in range(sysm.states)]
+        B = rng.sample(range(sysm.states), rng.randint(3, 10))
+        ws[B[0]] = 1 + rng.randrange(4)
+        sysm = reweighted(sysm, ws)
+        yield sysm, finite_set(group, rng.sample(range(n), rng.randint(2, 5))), state_subset(sysm, B)
+    # Pairwise disjoint covers: every covered state is private, no cover arc is left.
+    for _ in range(10):
+        k = rng.randint(1, 4)
+        group = make_group([8 * k])
+        ws = [rng.choice([0, 1, 2, 3, 7]) for _ in range(8 * k)]
+        B = range(0, 8 * k, k)
+        for b in B:
+            ws[b] += 1
+        sysm = reweighted(regular_system(group), ws)
+        yield sysm, finite_set(group, range(k)), state_subset(sysm, B)
 
 
 def test_closure_network_matches_the_per_cut_graph():
-    cuts = []
+    cuts, private_zero, shared_zero, unshared = [], 0, 0, 0
     for sysm, A, B in flow_cases():
         got = mag_ratio(sysm, A, B).to_json()
         assert got == reference_mag_ratio(sysm, A, B)
         cuts.append(got["iterations"])
+        once = twice = 0
+        for b, mask in cover_masks(sysm, A, B).items():
+            if sysm.int_weights[b]:
+                twice |= once & mask
+                once |= mask
+        zero = sum(1 << x for x, wx in enumerate(sysm.int_weights) if not wx)
+        private_zero += bool(once & ~twice & zero)
+        shared_zero += bool(twice & zero)
+        unshared += not twice and got["iterations"] > 1
     assert max(cuts) >= 3 and cuts.count(3) + cuts.count(4) >= 5
+    # Zero-weight states covered once and covered twice, and cuts on networks
+    # without cover arcs, where every covered state is folded into its candidate.
+    assert private_zero >= 5 and shared_zero >= 5 and unshared >= 5
 
 
 def check_flow_certificate(adj, head, cap_in, cap_out, flow, level):
@@ -598,6 +633,15 @@ def check_flow_certificate(adj, head, cap_in, cap_out, flow, level):
     assert not f[~reached[tail] & reached[to]].any(), "no flow re-enters the source side"
 
 
+def flow_scale_instance(n):
+    """The pinned instance ``tools/flow_scale.py`` times for the order n."""
+    group = make_group([n])
+    sysm = regular_system(group)
+    rng = random.Random(n)
+    A = finite_set(group, rng.sample(range(n), 8))
+    return sysm, A, state_subset(sysm, rng.sample(range(n), n // 8))
+
+
 def certified_cases():
     yield from flow_cases()
     rng = random.Random(4096)
@@ -610,6 +654,16 @@ def certified_cases():
                           Fraction(1, 3))
     yield (sysm, finite_set(group, rng.sample(range(1200), 10)),
            state_subset(sysm, rng.sample(range(sysm.states), 500)))
+    yield flow_scale_instance(16384)
+
+
+def test_the_z16384_flow_scale_instance_is_pinned():
+    # Past ORACLE_GUARD: only these pins and the certificate check this size.
+    result = mag_ratio(*flow_scale_instance(16384)).to_json()
+    witness = hashlib.sha256(json.dumps(result.pop("witness")).encode()).hexdigest()
+    assert result == {"value": "4639/899", "method": "flow", "iterations": 3,
+                      "nodes": 12751, "edges": 29133}
+    assert witness == "867edb76e262dcdd89362bbb070b94e0d1e63c6590ad4971748fd9d3a7f09a88"
 
 
 def test_every_cut_carries_a_flow_certificate(monkeypatch):
