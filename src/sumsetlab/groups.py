@@ -287,22 +287,27 @@ def sumset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     return FiniteSet(g, out)
 
 
-def iterated_sumset(A: FiniteSet, k: int) -> FiniteSet:
-    """The k-fold sumset A + ... + A, computed by doubling."""
+def _k_fold(x, k: int, add):
+    """x + ... + x with k terms, ``add`` being the binary sum: about log2(k)
+    doublings of x, each set bit of k adding the current double into the
+    running sum.  ``k`` passes ``exact_int`` and must be >= 1."""
     k = exact_int(k, "k")
     if k < 1:
         raise ValueError(f"iterated sumset needs k >= 1, got {k}")
-    _require_nonempty(A, "A")
-    acc: FiniteSet | None = None
-    base = A
-    while k:
+    acc = None
+    while True:
         if k & 1:
-            acc = base if acc is None else sumset(acc, base)
+            acc = x if acc is None else add(acc, x)
         k >>= 1
-        if k:
-            base = sumset(base, base)
-    assert acc is not None
-    return acc
+        if not k:
+            return acc
+        x = add(x, x)
+
+
+def iterated_sumset(A: FiniteSet, k: int) -> FiniteSet:
+    """The k-fold sumset A + ... + A, computed by doubling."""
+    _require_nonempty(A, "A")
+    return _k_fold(A, k, sumset)
 
 
 def negate(A: FiniteSet) -> FiniteSet:

@@ -192,11 +192,13 @@ def make_system(
     states = exact_int(states, "state count")
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
-    rows = [collection(row, "generator table") for row in collection(action, "action")]
-    try:
-        tables = tuple(tuple([exact_int(x, "table entry") for x in row]) for row in rows)
-    except (TypeError, ValueError):
-        raise ValueError("generator table entries must be integers") from None
+    tables = []
+    for j, row in enumerate(collection(action, "action")):
+        try:
+            tables.append(tuple([exact_int(x, "table entry")
+                                 for x in collection(row, "generator table")]))
+        except (TypeError, ValueError):
+            raise ValueError(f"generator table {j} must be a list of integers") from None
     if len(tables) != len(group.orders):
         raise ValueError(
             f"expected {len(group.orders)} generator tables, got {len(tables)}"
@@ -226,7 +228,7 @@ def make_system(
         except ValueError as exc:
             raise ValueError(f"bad measure entry: {exc}") from None
         weights = tuple(entries)
-    sys = ActionSystem(group, states, tables, weights)
+    sys = ActionSystem(group, states, tuple(tables), weights)
     ident = tuple(range(states))
     for j, row in enumerate(tables):
         if sorted(row) != list(ident):
@@ -352,12 +354,6 @@ def is_ergodic_set(sys: ActionSystem, A: FiniteSet) -> bool:
     """
     if not is_ergodic(sys):
         raise ValueError("ergodic-set certificates are defined over ergodic systems")
-    return covers_support(sys, A)
-
-
-def covers_support(sys: ActionSystem, A: FiniteSet) -> bool:
-    """True iff A.{x} covers the support for every state x in it: ``is_ergodic_set``
-    for a caller that already knows the system is ergodic."""
     support = sys.support_mask
     covers = cover_masks(sys, A, StateSubset(sys, support))
     return all(not support & ~hit for hit in covers.values())
@@ -507,12 +503,6 @@ def system_from_json(data: dict) -> ActionSystem:
     action = data["action"]
     if not isinstance(action, list):
         raise ValueError("system 'action' must be a list of generator tables")
-    for j, row in enumerate(action):
-        try:
-            for x in row:
-                exact_int(x, "table entry")
-        except (TypeError, ValueError):
-            raise ValueError(f"system 'action' table {j} must be a list of integers") from None
     measure = data.get("measure")
     if measure is not None and not isinstance(measure, list):
         raise ValueError("system 'measure' must be a list")

@@ -37,7 +37,6 @@ from .groups import (
     group_density,
     iterated_sumset,
     make_group,
-    negate,
     parse_fraction,
     sumset,
 )
@@ -47,10 +46,10 @@ from .systems import (
     StateSubset,
     apply_set,
     cover_masks,
-    covers_support,
     disjoint_union,
     is_ergodic,
     is_ergodic_basis,
+    is_ergodic_set,
     measure_of,
     orbits,
     quotient_system,
@@ -416,7 +415,7 @@ def check_prop2_minmax(sys: ActionSystem, A: FiniteSet, B: StateSubset,
     # Ergodic sets are defined over ergodic systems only.
     if not is_ergodic(sys):
         return _vacuous(name, instance, "system is not ergodic")
-    if not covers_support(sys, A):
+    if not is_ergodic_set(sys, A):
         return _vacuous(name, instance, "A is not an ergodic set")
     mb, note = _measured(sys, B)
     if note:
@@ -577,7 +576,11 @@ def check_transitive_point(sys_y: ActionSystem, A_clopen: StateSubset,
                            sys_x: ActionSystem, B: StateSubset,
                            instance: str = "adhoc") -> CheckResult:
     """On a finite transitive system every point is transitive, so the
-    pullback quantity mu((A_y)^{-1} B) must be constant in y."""
+    pullback quantity mu((A_y)^{-1} B) must be constant in y.
+
+    With A_y = {g : g.y in A}, g.y lies in A exactly when y lies in (-g).A, so
+    (A_y)^{-1} = {h : y in h.A}.  The inverses of every A_y are therefore read
+    off the |G| images h.A, one ``apply_set`` each."""
     name = "transitive"
     if sys_y.group != sys_x.group:
         raise ValueError("the two systems must share the acting group")
@@ -586,11 +589,12 @@ def check_transitive_point(sys_y: ActionSystem, A_clopen: StateSubset,
     if len(orbits(sys_y)) != 1:
         return _vacuous(name, instance, "no transitive point: state space splits")
     group = sys_y.group
-    values = []
-    for y in range(sys_y.states):
-        ay = finite_set(group, (g for g in range(group.cardinality)
-                                if sys_y.apply(g, y) in A_clopen))
-        values.append(measure_of(sys_x, apply_set(sys_x, negate(ay), B)))
+    inverses = [0] * sys_y.states  # bit h of inverses[y] is set iff y in h.A
+    for h in range(group.cardinality):
+        for y in bit_indices(apply_set(sys_y, FiniteSet(group, 1 << h), A_clopen).mask):
+            inverses[y] |= 1 << h
+    values = [measure_of(sys_x, apply_set(sys_x, FiniteSet(group, inv), B))
+              for inv in inverses]
     lhs, rhs = max(values), min(values)
     return CheckResult(name, instance, lhs, rhs, lhs == rhs,
                        witness={"values": sorted({frac_str(v) for v in values}),
@@ -613,6 +617,11 @@ def check_oracle_equivalence(sys: ActionSystem, A: FiniteSet, B: StateSubset,
 # ---------------------------------------------------------------------------
 # campaign
 # ---------------------------------------------------------------------------
+
+# The k, delta and eps values the drivers draw from; a report's config echoes them.
+K_VALUES = (1, 2, 3, 4)
+DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+EPSILONS = (Fraction(1, 100), Fraction(1, 10))
 
 
 def _divisors(n: int) -> list[int]:
@@ -697,7 +706,7 @@ def _drive_thm1(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRes
     m = rng.choice(_divisors(n))
     group = make_group([n])
     sys = quotient_system(group, [m])
-    k = rng.choice(cfg.k_values)
+    k = rng.choice(K_VALUES)
     A = _random_fset(rng, group, min(n, 6))
     for _ in range(60):
         if is_ergodic_basis(sys, A, k):
@@ -711,7 +720,7 @@ def _drive_thm2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRes
     sys = _random_system(rng, cfg.max_order, need_ergodic=True)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
-    k = rng.choice(cfg.k_values)
+    k = rng.choice(K_VALUES)
     return check_thm2(sys, A, B, k, instance)
 
 
@@ -733,7 +742,7 @@ def _drive_cor13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRe
     else:
         p = 1 + rng.below(6)
         A = periodic(p, rng.sample(p, 1 + rng.below(p)))
-    k = rng.choice(cfg.k_values)
+    k = rng.choice(K_VALUES)
     return check_cor1_cor3_zline(A, B, k, instance)
 
 
@@ -741,7 +750,7 @@ def _drive_prop12(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckR
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
-    k = rng.choice(cfg.k_values)
+    k = rng.choice(K_VALUES)
     return check_prop12(sys, A, B, k, instance)
 
 
@@ -749,7 +758,7 @@ def _drive_petridis(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> Chec
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 5)
     B = _random_sset(rng, sys, min(8, sys.states))
-    eps = rng.choice([Fraction(0)] + list(cfg.epsilons) + [Fraction(1, 2), Fraction(1)])
+    eps = rng.choice([Fraction(0)] + list(EPSILONS) + [Fraction(1, 2), Fraction(1)])
     if rng.below(5) < 3:
         Bp = mag_ratio(sys, A, B).witness
     else:
@@ -776,7 +785,7 @@ def _drive_prop13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckR
     A = _random_fset(rng, sys.group, 4)
     B = _random_sset(rng, sys, min(10, sys.states))
     k = rng.choice([1, 2])
-    delta = rng.choice(cfg.deltas)
+    delta = rng.choice(DELTAS)
     if rng.below(10) < 7:
         Bp = mag_ratio(sys, iterated_sumset(A, k), B).witness
     else:
@@ -795,7 +804,7 @@ def _drive_prop2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRe
         members.add(rng.below(n))
     A = finite_set(group, members)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
-    delta = rng.choice(cfg.deltas)
+    delta = rng.choice(DELTAS)
     return check_prop2_minmax(sys, A, B, delta, instance)
 
 
@@ -803,7 +812,7 @@ def _drive_prop21(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckR
     sys = _random_system(rng, cfg.max_order, need_ergodic=False)
     A = _random_fset(rng, sys.group, 6)
     B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
-    k = rng.choice(cfg.k_values)
+    k = rng.choice(K_VALUES)
     return check_prop21(sys, A, B, k, instance)
 
 
@@ -825,7 +834,7 @@ def _drive_levelset(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> Chec
         total = sum(raw)
         profile = LevelProfile(sys, sets, tuple(Fraction(r, total) for r in raw))
     A = _random_fset(rng, sys.group, 5)
-    return check_levelset(profile, A, cfg.epsilons, instance)
+    return check_levelset(profile, A, EPSILONS, instance)
 
 
 def _drive_transitive(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
@@ -898,9 +907,6 @@ class CampaignConfig:
     checks: tuple[str, ...] = CHECK_NAMES
     max_order: int = 16
     max_set: int = 12
-    k_values: tuple[int, ...] = (1, 2, 3, 4)
-    deltas: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    epsilons: tuple[Fraction, ...] = (Fraction(1, 100), Fraction(1, 10))
 
     def __post_init__(self) -> None:
         checks = tuple(collection(self.checks, "checks"))
@@ -921,11 +927,6 @@ class CampaignConfig:
         if self.max_set < 1:
             raise ValueError("max_set must be >= 1")
         object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "k_values", tuple(
-            exact_int(k, "k") for k in collection(self.k_values, "k_values")))
-        for key in ("deltas", "epsilons"):
-            object.__setattr__(self, key, tuple(
-                map(parse_fraction, collection(getattr(self, key), key))))
 
     def to_json(self) -> dict:
         return {
@@ -934,9 +935,9 @@ class CampaignConfig:
             "checks": list(self.checks),
             "max_order": self.max_order,
             "max_set": self.max_set,
-            "k_values": list(self.k_values),
-            "deltas": [frac_str(d) for d in self.deltas],
-            "epsilons": [frac_str(e) for e in self.epsilons],
+            "k_values": list(K_VALUES),
+            "deltas": [frac_str(d) for d in DELTAS],
+            "epsilons": [frac_str(e) for e in EPSILONS],
         }
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import FiniteSet, bit_indices, collection, exact_int, make_group, sumset
+from .groups import FiniteSet, _k_fold, bit_indices, collection, exact_int, make_group, sumset
 
 __all__ = [
     "MAX_TAIL_PERIOD",
@@ -327,14 +327,9 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
 
 
 def zsumset_iterated(A: ZSetDesc, k: int) -> ZSetDesc:
-    """The k-fold sumset A + ... + A on the integer line."""
-    k = exact_int(k, "k")
-    if k < 1:
-        raise ValueError(f"iterated sumset needs k >= 1, got {k}")
-    out = A
-    for _ in range(k - 1):
-        out = zsumset(out, A)
-    return out
+    """The k-fold sumset A + ... + A on the integer line, computed by doubling
+    as ``groups.iterated_sumset`` is: about log2(k) calls of ``zsumset``."""
+    return _k_fold(A, k, zsumset)
 
 
 def zset_to_json(S: ZSetDesc) -> dict:

@@ -9,7 +9,6 @@ not floating-point is compared with exact rational arithmetic.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def test_acceptance_01_oracle_equivalence():
 def test_acceptance_02_power_monotonicity_of_ratios():
     start = time.perf_counter()
     report = run_campaign(CampaignConfig(
-        seed=2024, instances=10_000, checks=("prop12",), max_order=64,
-        k_values=(1, 2, 3, 4)))
+        seed=2024, instances=10_000, checks=("prop12",), max_order=64))
     elapsed = time.perf_counter() - start
     ok = (len(report.rows) == 10_000 and report.all_hold
           and elapsed < PROP12_TIME_BUDGET)
@@ -125,8 +123,7 @@ def test_acceptance_04_cardinality_bound_in_cyclic_groups():
 
 def test_acceptance_05_saturation_of_constrained_ratios():
     report = run_campaign(CampaignConfig(
-        seed=2024, instances=500, checks=("prop2",),
-        deltas=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+        seed=2024, instances=500, checks=("prop2",)))
     live = [r for r in report.rows if not r.vacuous]
     exact = all(r.lhs == r.rhs for r in live)
     ok = len(report.rows) == 500 and len(live) >= 500 and report.all_hold and exact
@@ -148,8 +145,7 @@ def test_acceptance_06_co_magnification_bounds():
 
 def test_acceptance_07_layer_cake_and_level_set_inclusion():
     report = run_campaign(CampaignConfig(
-        seed=2024, instances=1000, checks=("levelset",), max_order=64,
-        epsilons=(Fraction(1, 10), Fraction(1, 100))))
+        seed=2024, instances=1000, checks=("levelset",), max_order=64))
     live = [r for r in report.rows if not r.vacuous]
     parts_ok = all(r.witness["identity"] and r.witness["inclusion"]
                    and all(r.witness["cheb"].values()) for r in live)

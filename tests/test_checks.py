@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab import (
     CHECK_NAMES,
@@ -43,11 +44,17 @@ from sumsetlab import (
 )
 
 from sumsetlab import verify
-from sumsetlab.groups import frac_str
-from sumsetlab.systems import StateSubset, apply_set, clear_system_memo, make_system
+from sumsetlab.groups import frac_str, negate
+from sumsetlab.systems import (
+    StateSubset,
+    apply_set,
+    clear_system_memo,
+    make_system,
+    measure_of,
+)
 from sumsetlab.verify import CheckResult
 
-from conftest import system_instances
+from conftest import groups, system_instances
 
 Z4 = make_group([4])
 Z8 = make_group([8])
@@ -564,6 +571,59 @@ def test_transitive_validation():
     with pytest.raises(ValueError, match="non-empty"):
         check_transitive_point(sys_y, state_subset(sys_y, []),
                                sys_y, state_subset(sys_y, [0]))
+
+
+def reference_transitive_values(sys_y, A_clopen, sys_x, B):
+    """mu((A_y)^{-1} B) for each point y, point by point: A_y = {g : g.y in A}
+    from one ``apply`` per group element, then its inverse by ``negate``."""
+    group = sys_y.group
+    values = []
+    for y in range(sys_y.states):
+        ay = finite_set(group, (g for g in range(group.cardinality)
+                                if sys_y.apply(g, y) in A_clopen))
+        values.append(measure_of(sys_x, apply_set(sys_x, negate(ay), B)))
+    return values
+
+
+@st.composite
+def transitive_cases(draw):
+    """A regular or quotient sys_y (one or two factors, so transitive), and a
+    regular, quotient or two-quotient union sys_x of the same group."""
+    group = draw(groups(max_order=16))
+
+    def quotient():
+        target = [draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+                  for n in group.orders]
+        return quotient_system(group, target)
+
+    sys_y = regular_system(group) if draw(st.booleans()) else quotient()
+    kind = draw(st.sampled_from(["regular", "quotient", "union"]))
+    if kind == "regular":
+        sys_x = regular_system(group)
+    elif kind == "quotient":
+        sys_x = quotient()
+    else:
+        weight = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3)]))
+        sys_x = disjoint_union(quotient(), quotient(), weight)
+
+    def subset(sysm):
+        return state_subset(sysm, draw(st.sets(st.integers(0, sysm.states - 1),
+                                               min_size=1)))
+
+    return sys_y, subset(sys_y), sys_x, subset(sys_x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transitive_cases())
+def test_transitive_matches_the_point_by_point_formula(case):
+    sys_y, A_clopen, sys_x, B = case
+    values = reference_transitive_values(sys_y, A_clopen, sys_x, B)
+    res = check_transitive_point(sys_y, A_clopen, sys_x, B)
+    assert not res.vacuous
+    assert (res.lhs, res.rhs) == (max(values), min(values))
+    assert res.holds == (max(values) == min(values))
+    assert res.witness == {"values": sorted({frac_str(v) for v in values}),
+                           "points": sys_y.states}
 
 
 def test_oracle_equivalence_check():

@@ -152,11 +152,6 @@ SITES = [
 ] + [
     (f"CampaignConfig {field}", "int", WIDE, lambda v, field=field: CampaignConfig(**{field: v}))
     for field in ("seed", "instances", "max_order", "max_set")
-] + [
-    ("CampaignConfig k_values", "int", WIDE, lambda v: CampaignConfig(k_values=(v,))),
-    ("CampaignConfig deltas", "rational", RATIONAL, lambda v: CampaignConfig(deltas=(v,))),
-    ("CampaignConfig epsilons", "rational", RATIONAL,
-     lambda v: CampaignConfig(epsilons=(v,))),
 ]
 
 NUMPY_INTS = (np.int16, np.int32, np.int64, np.uint16, np.uint64)
@@ -242,9 +237,6 @@ COLLECTION_SITES = [
     ("check_levelset epsilons", ["1/10"],
      lambda v: check_levelset(LevelProfile.equal_weights(R8, [B]), A, v)),
     ("CampaignConfig checks", ["prop12"], lambda v: CampaignConfig(checks=v)),
-    ("CampaignConfig k_values", [2], lambda v: CampaignConfig(k_values=v)),
-    ("CampaignConfig deltas", ["1/2"], lambda v: CampaignConfig(deltas=v)),
-    ("CampaignConfig epsilons", ["1/2"], lambda v: CampaignConfig(epsilons=v)),
 ]
 
 # None selects the default at these positions: the uniform measure, no tail.

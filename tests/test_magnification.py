@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -666,19 +667,71 @@ def test_the_z16384_flow_scale_instance_is_pinned():
     assert witness == "867edb76e262dcdd89362bbb070b94e0d1e63c6590ad4971748fd9d3a7f09a88"
 
 
+class FoldedNetwork:
+    """The networks ``mag_ratio`` should hand ``_max_flow``, rebuilt from A.{b}
+    recomputed with ``ActionSystem.apply``, one element at a time.
+
+    Node 0 is the source, 1 the sink, then the positive-weight states b of B
+    in ascending order, then the states two or more A.{b} cover, ascending.
+    At t = p/q, b's source arc carries max(p W(b) - q (weight of the states
+    only A.{b} covers), 0), a shared state's sink arc q W(x), and each cover
+    arc more than all the supply.  ``follow`` moves t to the ratio of the
+    candidates on the source side a cut returns, as the Dinkelbach loop does.
+    """
+
+    def __init__(self, sysm, A, B):
+        w = self.w = sysm.int_weights
+        self.cand = [b for b in B.indices() if w[b]]
+        self.covers = []
+        for b in self.cand:
+            mask = 0
+            for a in A.indices():
+                mask |= 1 << sysm.apply(a, b)
+            self.covers.append(mask)
+        hits = Counter(x for mask in self.covers for x in bit_indices(mask))
+        self.shared = sorted(x for x, n in hits.items() if n > 1)
+        self.follow([0] * (2 + len(self.cand)))
+
+    def follow(self, level):
+        cover = weight = 0
+        for i, b in enumerate(self.cand):
+            if level[2 + i] >= 0:
+                cover |= self.covers[i]
+                weight += self.w[b]
+        if weight:  # the last cut's source side may hold no candidate
+            self.t = Fraction(sum(self.w[x] for x in bit_indices(cover)), weight)
+
+    def check(self, adj, head, cap):
+        """The network is the fold of the masks at the current t."""
+        p, q, w = self.t.numerator, self.t.denominator, self.w
+        m = len(self.cand)
+        node = {x: v for v, x in enumerate(self.shared, 2 + m)}
+        supply = [max(p * w[b] - q * sum(w[x] for x in bit_indices(mask) if x not in node), 0)
+                  for b, mask in zip(self.cand, self.covers)]
+        want = Counter((0, u, c) for u, c in enumerate(supply, 2))
+        want.update((v, 1, q * w[x]) for x, v in node.items())
+        want.update((u, node[x], sum(supply) + 1) for u, mask in enumerate(self.covers, 2)
+                    for x in bit_indices(mask) if x in node)
+        assert len(adj) == 2 + m + len(node)
+        assert Counter((head[e + 1], head[e], cap[e]) for e in range(0, len(head), 2)) == want
+
+
 def test_every_cut_carries_a_flow_certificate(monkeypatch):
-    real, cuts = magnification._max_flow, []
+    real, cuts, folds = magnification._max_flow, [], []
 
     def certified(adj, head, cap):
         cap_in = list(cap)
+        folds[-1].check(adj, head, cap_in)
         flow, level = real(adj, head, cap)
         check_flow_certificate(adj, head, cap_in, cap, flow, level)
+        folds[-1].follow(level)
         cuts.append(len(adj))
         return flow, level
 
     monkeypatch.setattr(magnification, "_max_flow", certified)
     rounds = 0
     for sysm, A, B in certified_cases():
+        folds.append(FoldedNetwork(sysm, A, B))
         result = mag_ratio(sysm, A, B)
         check_witness(sysm, A, B, result)
         rounds += result.iterations

@@ -98,8 +98,8 @@ Z2 = make_group([2])
 
 
 @pytest.mark.parametrize("action, measure, message", [
-    ([[1.2, 0.3]], None, "entries must be integers"),
-    ([[None, 0]], None, "entries must be integers"),
+    ([[1.2, 0.3]], None, "^generator table 0 must be a list of integers$"),
+    ([[None, 0]], None, "^generator table 0 must be a list of integers$"),
     ([[1, 0]], [None, None], "bad measure entry"),
     ([[1, 0]], [0.5, 0.5], "bad measure entry"),
     # Parsed strings are remembered, but a bool, float or list equal to one

@@ -9,7 +9,10 @@ Two campaigns, each in one process with the memo cleared first:
 
 Each campaign prints one JSON line to stdout: its name, rows, whether every
 row holds, and seconds.  The memo's hits, misses, kept systems and kept
-states after it go to stderr.
+states after it go to stderr.  Then the default campaign's checks run again
+one at a time, each with the memo cleared first (a check's instances do not
+depend on which other checks are selected), and one JSON line of seconds per
+check goes to stderr.
 
     PYTHONPATH=src python3 tools/campaign_scale.py
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import replace
 
 from sumsetlab.systems import clear_system_memo, system_memo_info
 from sumsetlab.verify import CampaignConfig, run_campaign
@@ -28,7 +32,7 @@ from sumsetlab.verify import CampaignConfig, run_campaign
 CAMPAIGNS = (
     ("default", CampaignConfig(seed=1, instances=100)),
     ("prop12", CampaignConfig(seed=2024, instances=10_000, checks=("prop12",),
-                              max_order=64, k_values=(1, 2, 3, 4))),
+                              max_order=64)),
 )
 
 
@@ -42,6 +46,14 @@ def main() -> None:
                           "all_hold": report.all_hold, "seconds": round(seconds, 3)}),
               flush=True)
         print(f"{name} system memo: {json.dumps(system_memo_info())}", file=sys.stderr)
+    name, cfg = CAMPAIGNS[0]
+    seconds = {}
+    for check in cfg.checks:
+        clear_system_memo()
+        start = time.perf_counter()
+        run_campaign(replace(cfg, checks=(check,)))
+        seconds[check] = round(time.perf_counter() - start, 3)
+    print(json.dumps({"campaign": name, "check_seconds": seconds}), file=sys.stderr)
 
 
 if __name__ == "__main__":
