@@ -707,6 +707,19 @@ def test_campaign_rejects_unknown_check():
     assert CampaignConfig(max_set=1).max_set == 1
 
 
+@pytest.mark.parametrize("field, echoed", [
+    ("k_values", [1, 2, 3, 4]),
+    ("deltas", ["1/4", "1/2", "3/4"]),
+    ("epsilons", ["1/100", "1/10"]),
+])
+def test_campaign_k_delta_eps_are_fixed_and_echoed(field, echoed):
+    # Every campaign draws k, delta and epsilon from fixed lists: the config
+    # takes no such keyword, and its JSON still names the lists in use.
+    assert CampaignConfig(seed=7, instances=3).to_json()[field] == echoed
+    with pytest.raises(TypeError):
+        CampaignConfig(**{field: echoed})
+
+
 def test_campaign_is_deterministic():
     cfg = CampaignConfig(seed=99, instances=4)
     a, b = run_campaign(cfg), run_campaign(cfg)
