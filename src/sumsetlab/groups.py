@@ -27,6 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -50,8 +51,43 @@ __all__ = [
 ]
 
 
+# Binary digits "0"/"1" as the 0/1 selectors of bit_indices' linear read.
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bit_indices(mask: int) -> Iterator[int]:
-    """Yield positions of set bits in ascending order."""
+    """The positions of a mask's set bits, ascending, as an iterator.
+
+    The mask is a non-negative integer as ``exact_int`` reads it; a negative,
+    bool, float or string mask is refused with a ValueError.  Two reads give
+    the same positions:
+
+    - a mask of at most 64 bits, or one of width W with at most W / 8 and at
+      most 256 set bits, clears its low bit once per set bit.  Each step
+      costs O(W / 64) word operations, so k set bits cost O(k * W), and
+      nothing is built up front: the cover masks of a few bits stay cheap at
+      any width;
+    - a wider, denser mask is read in one linear pass over its binary digits,
+      O(W) whatever k is.  Binary formatting is exempt from
+      ``sys.set_int_max_str_digits``, so this works at any width.
+
+    The cut-over sits where the two reads took about equal time on masks of
+    65 to 262,144 bits (CPython 3.11).
+    """
+    if type(mask) is not int or mask < 0:
+        mask = exact_int(mask, "mask")
+        if mask < 0:
+            raise ValueError(f"mask must be non-negative, got {mask}")
+    if mask <= 0xFFFF_FFFF_FFFF_FFFF:
+        return _low_bits(mask)
+    count = mask.bit_count()
+    if count <= 256 and count << 3 <= mask.bit_length():
+        return _low_bits(mask)
+    flags = f"{mask:b}".encode().translate(_ZERO_ONE)[::-1]
+    return compress(range(len(flags)), flags)
+
+
+def _low_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

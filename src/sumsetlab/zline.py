@@ -60,6 +60,10 @@ __all__ = [
 
 # Work on a descriptor grows with its tail periods; zsumset's with its longer cut
 # operand (the span) and with the span times the set bits of the sparser cut.
+# The result window is read with groups.bit_indices, which is linear in the span
+# for a dense window, so no read grows faster than the span.  2^17 stays until
+# the benchmark stops keeping every op's record: its peak RSS follows the op
+# count, so a faster integer line reads there as more memory.
 MAX_TAIL_PERIOD = 4096
 MAX_SUMSET_SPAN = 1 << 17
 MAX_SUMSET_WORK = 1 << 28
@@ -115,13 +119,33 @@ def _reduce_tail(tail: Tail) -> Tail:
 
 @dataclass(frozen=True)
 class ZSetDesc:
-    """An eventually periodic subset of Z in normal form."""
+    """An eventually periodic subset of Z in normal form.
+
+    ``zdesc`` builds and normalises descriptors.  The record itself checks
+    what every normal form meets, each refusal a ValueError: lo and hi are
+    integers as ``exact_int`` reads them with lo <= hi, the head is a
+    frozenset of ints inside [lo, hi), and each tail is a ``Tail`` or None.
+    """
 
     lo: int
     hi: int
     head: frozenset[int]
     left: Tail | None
     right: Tail | None
+
+    def __post_init__(self) -> None:
+        lo, hi, head = exact_int(self.lo, "lo"), exact_int(self.hi, "hi"), self.head
+        if hi < lo:
+            raise ValueError(f"head window [{lo}, {hi}) is inverted")
+        if type(head) is not frozenset or not {int}.issuperset(map(type, head)):
+            raise ValueError("head must be a frozenset of ints")
+        if head and not lo <= min(head) <= max(head) < hi:
+            raise ValueError("head members must lie inside the head window")
+        for tail in (self.left, self.right):
+            if tail is not None and not isinstance(tail, Tail):
+                raise ValueError(f"a tail must be a Tail or None, got {tail!r}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __contains__(self, n: int) -> bool:
         return zcontains(self, n)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sumsetlab import (
     bit_indices,
@@ -114,6 +116,67 @@ def test_translate_wraps_componentwise():
 def test_bit_indices_roundtrip():
     mask = (1 << 0) | (1 << 5) | (1 << 63)
     assert list(bit_indices(mask)) == [0, 5, 63]
+
+
+def mask_of(positions) -> int:
+    """The mask with exactly these bits set, built in one pass."""
+    bits = bytearray(max(positions, default=-1) // 8 + 1)
+    for p in positions:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
+
+
+def shift_reference(mask: int, width: int) -> list[int]:
+    return [i for i in range(width) if mask >> i & 1]
+
+
+@st.composite
+def wide_masks(draw):
+    """(width, mask) with the top bit set: sparse, dense, any count, or with
+    set bits on either side of the cut-over between bit_indices' two reads."""
+    width = draw(st.sampled_from([0, 1, 63, 64, 65, 128, 1024, 65536]))
+    if width == 0:
+        return 0, 0
+    shape = draw(st.sampled_from(["sparse", "dense", "any", "cut"]))
+    if shape == "sparse":
+        count = draw(st.integers(1, min(width, 12)))
+    elif shape == "dense":
+        count = draw(st.integers(max(width // 2, 1), width))
+    elif shape == "any":
+        count = draw(st.integers(1, width))
+    else:
+        count = min(min(width >> 3, 256) + draw(st.integers(0, 1)), width) or 1
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return width, mask_of(rng.sample(range(width - 1), count - 1) + [width - 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_masks())
+def test_bit_indices_matches_the_shift_reference(case):
+    width, mask = case
+    assert list(bit_indices(mask)) == shift_reference(mask, width)
+
+
+def test_bit_indices_reads_a_wide_dense_mask_under_the_int_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int digits")
+    width = 1 << 17
+    mask = random.Random(17).getrandbits(width) | 1 << (width - 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = list(bit_indices(mask))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == shift_reference(mask, width)
+
+
+@pytest.mark.parametrize("mask", [-1, -(1 << 70)])
+def test_bit_indices_refuses_a_negative_mask_before_reading(mask):
+    # The low-bit loop never ends on a negative mask; floats, bools, strings
+    # and numpy integers are the contract test's "bit_indices mask" row.
+    with pytest.raises(ValueError, match="mask must be non-negative"):
+        bit_indices(mask)
 
 
 def test_group_json_roundtrip():

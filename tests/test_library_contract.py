@@ -13,6 +13,9 @@ Each position that takes a collection (members, orders, tables, weights,
 a tail pair, profile sets, campaign lists) is fed a scalar, a string,
 bytes or a mapping, and refuses each with a ``ValueError``: none raises
 ``TypeError`` or reads characters or keys as members.
+
+``zline.ZSetDesc`` is not exported, but it is held to the same contract:
+it refuses every field that no normal form holds.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from sumsetlab import (
     SplitMix64,
     StateSubset,
     Tail,
+    bit_indices,
     char_value,
     check_cor1_cor3_zline,
     check_cor2_group,
@@ -70,6 +74,7 @@ from sumsetlab import (
     zsumset_iterated,
 )
 from sumsetlab.verify import CampaignConfig
+from sumsetlab.zline import ZSetDesc
 
 Z2, Z8, Z128 = make_group([2]), make_group([8]), make_group([128])
 R8, R128 = regular_system(Z8), regular_system(Z128)
@@ -91,6 +96,7 @@ SITES = [
     ("char_value", "int", WIDE, lambda v: char_value(Z128, 1, v)),
     ("finite_set member", "int", WIDE, lambda v: finite_set(Z128, [v])),
     ("FiniteSet mask", "int", WIDE, lambda v: FiniteSet(Z8, v)),
+    ("bit_indices mask", "int", WIDE, lambda v: list(bit_indices(v))),
     ("translate", "int", WIDE, lambda v: translate(A128, v)),
     ("iterated_sumset k", "int", WIDE, lambda v: iterated_sumset(A, v)),
     ("state_subset member", "int", WIDE, lambda v: state_subset(R128, [v])),
@@ -110,6 +116,8 @@ SITES = [
     ("zdesc member", "int", WIDE, lambda v: zdesc([v])),
     ("zdesc lo", "int or None", WIDE, lambda v: zdesc([], v)),
     ("zdesc hi", "int or None", WIDE, lambda v: zdesc([0], 0, v)),
+    ("ZSetDesc lo", "int", WIDE, lambda v: ZSetDesc(v, 300, frozenset(), None, None)),
+    ("ZSetDesc hi", "int", WIDE, lambda v: ZSetDesc(0, v, frozenset(), None, None)),
     ("periodic period", "int", WIDE, lambda v: periodic(v, [0])),
     ("periodic residue", "int", WIDE, lambda v: periodic(300, [v])),
     ("finite member", "int", WIDE, lambda v: finite([v])),
@@ -226,6 +234,7 @@ COLLECTION_SITES = [
     ("zdesc head", [0, 2], lambda v: zdesc(v)),
     ("zdesc left tail", (4, [1]), lambda v: zdesc([0], 0, 1, left=v)),
     ("zdesc right tail", (4, [1]), lambda v: zdesc([0], 0, 1, right=v)),
+    ("ZSetDesc head", frozenset({0}), lambda v: ZSetDesc(0, 1, v, None, None)),
     ("periodic pattern", [0], lambda v: periodic(3, v)),
     ("finite members", [0, 5], lambda v: finite(v)),
     ("verify_correspondence A", [0, 1], lambda v: verify_correspondence(S, v)),
@@ -253,3 +262,19 @@ def test_every_collection_argument_refuses_scalars_strings_and_mappings(name, va
         if value is None and name in NONE_IS_DEFAULT:
             continue
         assert outcome(call, value) == "ValueError", (name, value)
+
+
+@pytest.mark.parametrize("lo, hi, head, left, right", [
+    (0, -1, frozenset(), None, None),  # an inverted window
+    (0, 3, frozenset({3}), None, None),  # a member at hi
+    (0, 3, frozenset({-1}), None, None),
+    (0, 3, frozenset({1.0}), None, None),
+    (0, 3, frozenset({True}), None, None),
+    (0, 3, frozenset({np.int64(1)}), None, None),
+    (0, 3, {1}, None, None),
+    (0, 0, frozenset(), (3, [0]), None),
+    (0, 0, frozenset(), None, frozenset({0})),
+])
+def test_zsetdesc_refuses_what_no_normal_form_holds(lo, hi, head, left, right):
+    with pytest.raises(ValueError):
+        ZSetDesc(lo, hi, head, left, right)
