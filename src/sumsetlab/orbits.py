@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import bit_indices, collection, exact_int, finite_set, frac_str, make_group
-from .systems import ActionSystem, StateSubset, apply_set, measure_of, regular_system, state_subset
-from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
+from .groups import collection, exact_int, finite_set, frac_str, make_group
+from .systems import ActionSystem, StateSubset, apply_set, measure_of, regular_system
+from .zline import (ZSetDesc, Tail, _rotate, banach_lower, banach_upper, finite, shift, zcontains,
+                    zsumset)
 
 __all__ = [
     "LimitOrbit",
@@ -43,9 +44,8 @@ __all__ = [
 class LimitOrbit:
     side: str  # "left", "right" or "both"
     period: int
-    pattern: frozenset[int]
     system: ActionSystem
-    b_set: StateSubset
+    b_set: StateSubset  # the canonical rotation of the tail's residue mask
 
     @property
     def b_measure(self) -> Fraction:
@@ -110,29 +110,24 @@ class CorrespondenceReport:
         }
 
 
-def _canonical_rotation(period: int, pattern: frozenset[int]) -> frozenset[int]:
-    """The rotation whose sorted residues are lexicographically least.
+def _canonical_rotation(period: int, mask: int) -> int:
+    """The rotation of a residue mask whose sorted residues are lexicographically least.
 
     Between two rotations that one wins whose lowest differing residue it
-    holds, so with residue r stored at bit period - 1 - r it is the rotation
-    with the largest mask.
+    holds: with the mask's bits written residue 0 first, it is the rotation
+    that starts the largest window of period bits in that string written twice.
     """
-    if not pattern:
-        return pattern
-    g = make_group([period])
-    flipped = sum(1 << (period - 1 - r) for r in pattern)
-    best = max(g.translate_mask(flipped, s) for s in range(period))
-    return frozenset(period - 1 - r for r in bit_indices(best))
+    bits = f"{mask:0{period}b}"[::-1] * 2
+    start = max(range(period), key=lambda i: bits[i:i + period])
+    return _rotate(mask, period, -start)
 
 
 def _limit_orbit(side: str, tail: Tail | None) -> LimitOrbit:
-    if tail is None:
-        period, pattern = 1, frozenset()
-    else:
-        # Tails arrive minimal-period reduced from the descriptor normal form.
-        period, pattern = tail.period, _canonical_rotation(tail.period, tail.pattern)
+    # Tails arrive minimal-period reduced from the descriptor normal form.
+    period = 1 if tail is None else tail.period
+    mask = 0 if tail is None else _canonical_rotation(period, tail.mask)
     system = regular_system(make_group([period]))
-    return LimitOrbit(side, period, pattern, system, state_subset(system, pattern))
+    return LimitOrbit(side, period, system, StateSubset(system, mask))
 
 
 def orbit_closure(S: ZSetDesc) -> OrbitSystem:
@@ -143,9 +138,8 @@ def orbit_closure(S: ZSetDesc) -> OrbitSystem:
     """
     left = _limit_orbit("left", S.left)
     right = _limit_orbit("right", S.right)
-    if (left.period, left.pattern) == (right.period, right.pattern):
-        merged = LimitOrbit("both", left.period, left.pattern, left.system, left.b_set)
-        orbits = (merged,)
+    if (left.period, left.b_set.mask) == (right.period, right.b_set.mask):
+        orbits = (LimitOrbit("both", left.period, left.system, left.b_set),)
     else:
         orbits = (left, right)
     degenerate = S.left is None and S.right is None

@@ -21,11 +21,13 @@ Normal form: tails are reduced to their minimal period, empty tails are
 stored as None, and the head window is shrunk until its endpoints disagree
 with the adjacent tail, so equal descriptors compare equal as dataclasses.
 
-Sumsets reuse the finite-group bitmasks: tails become residue masks on Z/P,
-whose sumsets are ``groups.sumset``, and the head window is one shift-OR of
-the operands cut to ranges that every witness slides into by P (see
-``zsumset``).  ``MAX_SUMSET_SPAN`` bounds the cuts and ``MAX_SUMSET_WORK``
-the shift-OR.
+Tails are residue bitmasks (bit r of ``Tail.mask`` stands for residue r);
+residue lists are only the (period, pattern) pairs of ``zdesc``, ``periodic``
+and the JSON forms.  Sumsets reuse the finite-group bitmasks: tails lift to
+residue masks on Z/P, whose sumsets are ``groups.sumset``, and the head
+window is one shift-OR of the operands cut to ranges that every witness
+slides into by P (see ``zsumset``).  ``MAX_SUMSET_SPAN`` bounds the cuts and
+``MAX_SUMSET_WORK`` the shift-OR.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import FiniteSet, _k_fold, bit_indices, collection, exact_int, make_group, sumset
+from .groups import (FiniteSet, _k_fold, bit_indices, collection, exact_int, index_mask,
+                     make_group, sumset)
 
 __all__ = [
     "MAX_TAIL_PERIOD",
@@ -71,13 +74,13 @@ MAX_SUMSET_WORK = 1 << 28
 
 @dataclass(frozen=True)
 class Tail:
-    """One periodic tail: membership at n is (n mod period) in pattern.
+    """One periodic tail: n is a member iff bit (n mod period) of mask is set.
 
-    ``pattern`` may be given as any iterable of residues; it is stored as a
-    frozenset."""
+    A ValueError refuses a period or mask that ``exact_int`` refuses, a period
+    outside [1, MAX_TAIL_PERIOD] and a mask negative or wider than period bits."""
 
     period: int
-    pattern: frozenset[int]
+    mask: int
 
     def __post_init__(self) -> None:
         period = exact_int(self.period, "tail 'period'")
@@ -85,35 +88,55 @@ class Tail:
             raise ValueError(f"tail period must be >= 1, got {period}")
         if period > MAX_TAIL_PERIOD:
             raise ValueError(f"tail period {period} exceeds the limit {MAX_TAIL_PERIOD}")
-        pat = frozenset(exact_int(r, "tail residue")
-                        for r in collection(self.pattern, "tail pattern"))
-        if any(not 0 <= r < period for r in pat):
-            raise ValueError("tail pattern must consist of residues in [0, period)")
+        mask = exact_int(self.mask, "tail mask")
+        if mask < 0 or mask >> period:
+            raise ValueError(f"tail mask must be non-negative with residues in [0, {period})")
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "pattern", pat)
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def pattern(self) -> tuple[int, ...]:
+        """The residues in the pattern, ascending."""
+        return tuple(bit_indices(self.mask))
 
     @property
     def density(self) -> Fraction:
-        return Fraction(len(self.pattern), self.period)
+        return Fraction(self.mask.bit_count(), self.period)
+
+
+def _has(tail: Tail | None, n: int) -> bool:
+    return tail is not None and tail.mask >> n % tail.period & 1 == 1
+
+
+def _rotate(mask: int, period: int, s: int) -> int:
+    """The residue mask moved by s: bit r goes to bit (r + s) mod period."""
+    s %= period
+    return (mask << s | mask >> (period - s)) & ((1 << period) - 1)
 
 
 def _tail_mask(tail: Tail | None, start: int, length: int) -> int:
-    """Bit i is set iff start + i lies in the tail pattern, for 0 <= i < length."""
+    """Bit i is set iff start + i lies in the tail, for 0 <= i < length."""
     if tail is None or length <= 0:
         return 0
     p = tail.period
-    base = sum(1 << ((r - start) % p) for r in tail.pattern)
-    copies = -(-length // p)
-    return base * (((1 << copies * p) - 1) // ((1 << p) - 1)) & ((1 << length) - 1)
+    repeat = ((1 << -(-length // p) * p) - 1) // ((1 << p) - 1)
+    return _rotate(tail.mask, p, -start) * repeat & ((1 << length) - 1)
+
+
+def _tail_count(tail: Tail | None, start: int, stop: int) -> int:
+    """The number of tail members in [start, stop), in O(period) at any length."""
+    if tail is None or stop <= start:
+        return 0
+    full, rest = divmod(stop - start, tail.period)
+    return full * tail.mask.bit_count() + _tail_mask(tail, start, rest).bit_count()
 
 
 def _reduce_tail(tail: Tail) -> Tail:
     """Rewrite a tail over its minimal period: the least d whose rotation fixes it."""
-    p, pat = tail.period, tail.pattern
-    g, mask = make_group([p]), _tail_mask(tail, 0, p)
+    p, mask = tail.period, tail.mask
     for d in range(1, p):
-        if p % d == 0 and g.translate_mask(mask, d) == mask:
-            return Tail(d, frozenset(r % d for r in pat))
+        if p % d == 0 and _rotate(mask, p, d) == mask:
+            return Tail(d, mask & ((1 << d) - 1))
     return tail
 
 
@@ -162,10 +185,9 @@ def _tail_arg(value) -> Tail | None:
         except ValueError:
             raise ValueError(f"a tail is a (period, pattern) pair, a Tail or None, "
                              f"got {value!r}") from None
-        tail = Tail(period, pattern)
-    if not tail.pattern:
-        return None
-    return _reduce_tail(tail)
+        period = Tail(period, 0).period  # gated before the residues build a mask
+        tail = Tail(period, index_mask(pattern, period, "tail residue", f"[0, {period})"))
+    return _reduce_tail(tail) if tail.mask else None
 
 
 def zdesc(
@@ -196,22 +218,16 @@ def zdesc(
         raise ValueError("head members must lie inside the head window")
     lt, rt = _tail_arg(left), _tail_arg(right)
 
-    def right_predicts(x: int) -> bool:
-        return rt is not None and (x % rt.period) in rt.pattern
-
-    def left_predicts(x: int) -> bool:
-        return lt is not None and (x % lt.period) in lt.pattern
-
     # Shrink the window wherever the boundary membership matches the tail; a
     # missing tail matches every non-member, so that side jumps to the hull.
     if rt is None:
         hi = max(members) + 1 if members else lo
     if lt is None:
         lo = min(members) if members else hi
-    while hi > lo and (hi - 1 in members) == right_predicts(hi - 1):
+    while hi > lo and (hi - 1 in members) == _has(rt, hi - 1):
         members.discard(hi - 1)
         hi -= 1
-    while lo < hi and (lo in members) == left_predicts(lo):
+    while lo < hi and (lo in members) == _has(lt, lo):
         members.discard(lo)
         lo += 1
     if lo == hi:
@@ -222,7 +238,7 @@ def zdesc(
         if lt == rt:
             lo = hi = 0
         else:
-            while left_predicts(lo - 1) == right_predicts(lo - 1):
+            while _has(lt, lo - 1) == _has(rt, lo - 1):
                 lo -= 1
             hi = lo
     return ZSetDesc(lo, hi, frozenset(members), lt, rt)
@@ -230,7 +246,7 @@ def zdesc(
 
 def periodic(period: int, pattern: Iterable[int]) -> ZSetDesc:
     """The two-sided periodic set {n : n mod period in pattern}."""
-    tail = Tail(period, pattern)
+    tail = _tail_arg((period, pattern))
     return zdesc((), 0, 0, tail, tail)
 
 
@@ -244,11 +260,9 @@ def integers() -> ZSetDesc:
 
 def zcontains(S: ZSetDesc, n: int) -> bool:
     n = exact_int(n, "n")
-    if n < S.lo:
-        return S.left is not None and (n % S.left.period) in S.left.pattern
-    if n >= S.hi:
-        return S.right is not None and (n % S.right.period) in S.right.pattern
-    return n in S.head
+    if S.lo <= n < S.hi:
+        return n in S.head
+    return _has(S.left if n < S.lo else S.right, n)
 
 
 def is_empty(S: ZSetDesc) -> bool:
@@ -260,9 +274,7 @@ def shift(S: ZSetDesc, t: int) -> ZSetDesc:
     t = exact_int(t, "shift")
 
     def move(tail: Tail | None) -> Tail | None:
-        if tail is None:
-            return None
-        return Tail(tail.period, frozenset((r + t) % tail.period for r in tail.pattern))
+        return None if tail is None else Tail(tail.period, _rotate(tail.mask, tail.period, t))
 
     return zdesc(
         (x + t for x in S.head), S.lo + t, S.hi + t, move(S.left), move(S.right)
@@ -283,11 +295,17 @@ def banach_lower(S: ZSetDesc) -> Fraction:
 
 
 def window_density(S: ZSetDesc, lo: int, hi: int) -> Fraction:
-    """Counting density |S ∩ [lo, hi)| / (hi - lo).  A window estimate only."""
+    """Counting density |S ∩ [lo, hi)| / (hi - lo).  A window estimate only.
+
+    The head members are counted one by one and each tail's part of the
+    window by whole periods plus one remainder, so the cost is
+    O(|head| + periods) at any window length."""
     lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
     if hi <= lo:
         raise ValueError(f"window [{lo}, {hi}) is empty")
-    return Fraction(sum(1 for n in range(lo, hi) if zcontains(S, n)), hi - lo)
+    count = (sum(1 for x in S.head if lo <= x < hi) + _tail_count(S.left, lo, min(hi, S.lo))
+             + _tail_count(S.right, max(lo, S.hi), hi))
+    return Fraction(count, hi - lo)
 
 
 def _indicator(S: ZSetDesc, lo: int, length: int) -> int:
@@ -346,8 +364,7 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
     right_pat = cyclic_sum(ra, all_b) | cyclic_sum(all_a, rb)
     left_pat = cyclic_sum(la, all_b) | cyclic_sum(all_a, lb)
     return zdesc((lo + i for i in bit_indices(window)), lo, hi,
-                 (P, bit_indices(left_pat)) if left_pat else None,
-                 (P, bit_indices(right_pat)) if right_pat else None)
+                 Tail(P, left_pat), Tail(P, right_pat))
 
 
 def zsumset_iterated(A: ZSetDesc, k: int) -> ZSetDesc:
@@ -360,7 +377,7 @@ def zset_to_json(S: ZSetDesc) -> dict:
     def tail(t: Tail | None):
         if t is None:
             return None
-        return {"period": t.period, "pattern": sorted(t.pattern)}
+        return {"period": t.period, "pattern": list(bit_indices(t.mask))}
 
     return {
         "head": {"lo": S.lo, "hi": S.hi, "members": sorted(S.head)},
@@ -389,7 +406,7 @@ def zset_from_json(data: dict) -> ZSetDesc:
             return None
         if not isinstance(block, dict) or "period" not in block or "pattern" not in block:
             raise ValueError("tail block needs 'period' and 'pattern'")
-        return Tail(block["period"], listed(block["pattern"], "tail 'pattern'"))
+        return block["period"], listed(block["pattern"], "tail 'pattern'")
 
     # lo and hi are gated here: zdesc reads a missing one as the members' hull.
     return zdesc(listed(head["members"], "head 'members'"),

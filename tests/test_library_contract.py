@@ -111,8 +111,8 @@ SITES = [
     ("disjoint_union weight", "rational", RATIONAL, lambda v: disjoint_union(R8, R8, v)),
     ("is_ergodic_basis k", "int", WIDE, lambda v: is_ergodic_basis(R8, A, v)),
     ("mag_ratio_delta delta", "rational", RATIONAL, lambda v: mag_ratio_delta(R8, A, B, v)),
-    ("Tail period", "int", WIDE, lambda v: Tail(v, [0])),
-    ("Tail residue", "int", WIDE, lambda v: Tail(300, [v])),
+    ("Tail period", "int", WIDE, lambda v: Tail(v, 1)),
+    ("Tail mask", "int", WIDE, lambda v: Tail(300, v)),
     ("zdesc member", "int", WIDE, lambda v: zdesc([v])),
     ("zdesc lo", "int or None", WIDE, lambda v: zdesc([], v)),
     ("zdesc hi", "int or None", WIDE, lambda v: zdesc([0], 0, v)),
@@ -230,7 +230,7 @@ COLLECTION_SITES = [
     ("make_system table", [1, 0], lambda v: make_system(Z2, 2, [v])),
     ("make_system measure", ["1/2", "1/2"], lambda v: make_system(Z2, 2, [[1, 0]], v)),
     ("quotient_system orders", [4], lambda v: quotient_system(Z8, v)),
-    ("Tail pattern", [0, 3], lambda v: Tail(4, v)),
+    ("zdesc tail pattern", [0, 3], lambda v: zdesc([0], 0, 1, right=(4, v))),
     ("zdesc head", [0, 2], lambda v: zdesc(v)),
     ("zdesc left tail", (4, [1]), lambda v: zdesc([0], 0, 1, left=v)),
     ("zdesc right tail", (4, [1]), lambda v: zdesc([0], 0, 1, right=v)),

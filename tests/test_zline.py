@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +19,7 @@ from sumsetlab import (
     is_empty,
     periodic,
     shift,
+    verify_correspondence,
     window_density,
     zcontains,
     zdesc,
@@ -66,6 +71,21 @@ def test_window_density_frozen_examples():
     assert window_density(EVENS, 4, 5) in (0, 1)
     with pytest.raises(ValueError):
         window_density(EVENS, 3, 3)
+
+
+def test_window_density_counts_a_long_window_by_whole_periods():
+    start = time.perf_counter()
+    assert window_density(EVENS, 0, 10**12) == Fraction(1, 2)
+    assert window_density(NONNEG, -10**15, 10**15) == Fraction(1, 2)
+    assert window_density(zdesc([0], 0, 1, (4, [1]), (3, [2])), -4 * 10**15, 3 * 10**15) == \
+        Fraction(10**15 + 10**15 + 1, 7 * 10**15)
+    assert time.perf_counter() - start < 0.5
+
+
+@given(zdescs(), st.integers(-60, 60), st.integers(1, 200))
+def test_window_density_matches_the_pointwise_count(s, lo, length):
+    count = sum(1 for n in range(lo, lo + length) if zcontains(s, n))
+    assert window_density(s, lo, lo + length) == Fraction(count, length)
 
 
 def test_membership_all_three_regions():
@@ -198,9 +218,11 @@ def test_zdesc_validation():
 
 def test_values_one_past_the_range_are_refused():
     with pytest.raises(ValueError, match="residues in"):
-        Tail(4, frozenset({4}))  # residue equal to the period
-    with pytest.raises(ValueError, match="residues in"):
+        Tail(4, 1 << 4)  # residue equal to the period
+    with pytest.raises(ValueError, match=r"tail residue 4 outside \[0, 4\)"):
         periodic(4, [4])
+    with pytest.raises(ValueError, match="non-negative"):
+        Tail(4, -1)
     with pytest.raises(ValueError, match="inside the head window"):
         zdesc([3], lo=0, hi=3)  # member at hi
 
@@ -212,8 +234,11 @@ def test_zdesc_is_the_only_public_descriptor_constructor():
 
 def test_guards_accept_the_largest_workload_draws_and_reject_beyond():
     with pytest.raises(ValueError, match="exceeds the limit"):
-        Tail(MAX_TAIL_PERIOD + 1, frozenset({0}))
-    assert Tail(MAX_TAIL_PERIOD, frozenset({0})).period == MAX_TAIL_PERIOD
+        Tail(MAX_TAIL_PERIOD + 1, 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        periodic(MAX_TAIL_PERIOD + 1, [0])
+    assert Tail(MAX_TAIL_PERIOD, 1).period == MAX_TAIL_PERIOD
+    assert periodic(MAX_TAIL_PERIOD, [0]).right == Tail(MAX_TAIL_PERIOD, 1)
     # Widest heads (40) and largest lcm P = 2000 of the benchmark's integer-line
     # draws: each operand is cut to 40 + 6P + 80 points, and the bound holds even
     # if every point of the sparser cut were set.
@@ -240,3 +265,38 @@ def test_absent_tail_shrinks_a_huge_head_window_at_once():
     assert (S.lo, S.hi) == (5, 6)
     S = zdesc([5], -10**15, 10**15, left=(3, [0]))
     assert S.hi == 6 and S.lo > -10**15
+
+
+def _line_draw(rng, left: int, right: int):
+    """A descriptor shaped like the benchmark's integer-line inputs."""
+    width = rng.randint(8, 40)
+    lo = rng.randint(-60, 60)
+    head = rng.sample(range(lo, lo + width), rng.randint(1, width))
+
+    def tail(p: int):
+        return (p, rng.sample(range(p), rng.randint(1, max(1, p // 6))))
+
+    return zdesc(head, lo, lo + width, tail(left), tail(right))
+
+
+def test_integer_line_outputs_are_pinned():
+    # 200 seeded draws like the benchmark's: zsumset with tail lcm P from 600 to
+    # 2000, a shift, and a correspondence report with tail periods 300 to 600.
+    # One sha256 over every JSON output, so a change of tail format cannot drift.
+    rng = random.Random(2013)
+    digest = hashlib.sha256()
+    for i in range(200):
+        P = (600, 840, 1200, 1680, 2000)[i % 5]
+        choices = [d for d in range(P // 12, P + 1) if P % d == 0]
+        periods = [rng.choice(choices) for _ in range(4)]
+        periods[rng.randrange(4)] = P
+        A, B = _line_draw(rng, *periods[:2]), _line_draw(rng, *periods[2:])
+        t = rng.randint(-10**6, 10**6)
+        p = (300, 360, 420, 480, 600)[i % 5]
+        S = _line_draw(rng, p, p)
+        acting = sorted(rng.sample(range(-40, 41), rng.randint(3, 6)))
+        for out in (zset_to_json(zsumset(A, B)), zset_to_json(shift(A, t)),
+                    verify_correspondence(S, acting).to_json()):
+            digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "1e17f7a27edaf29797f5571c74a3b9d1411c57ab5e6b45f77e384e48e6f05182"

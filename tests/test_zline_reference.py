@@ -1,9 +1,11 @@
 """The bitmask sumset and rotations against the per-point witness scan they replaced.
 
 The reference functions below are the earlier implementations, kept verbatim
-apart from their names: a per-point witness scan over the head window with
-residue sums for the tails, a set-rotation search for the minimal period, and
-a sort of every rotation for the canonical orbit pattern.  Each test requires
+apart from their names and from reading each tail's residues as
+``set(tail.pattern)``, since a tail is a residue bitmask: a per-point witness
+scan over the head window with residue sums for the tails, a set-rotation
+search for the minimal period, and a sort of every rotation for the canonical
+orbit pattern.  Masks are compared through ``_mask``.  Each test requires
 equal results, so the descriptors, reports and digests built on them cannot
 drift.
 """
@@ -25,14 +27,18 @@ _canonical_rotation = importlib.import_module("sumsetlab.orbits")._canonical_rot
 MAX_SUMSET_WORK = 1 << 26
 
 
+def _mask(residues) -> int:
+    return sum(1 << r for r in set(residues))
+
+
 def _ref_reduce_tail(tail: Tail) -> Tail:
     """Rewrite a tail over its minimal period."""
-    p, pat = tail.period, tail.pattern
+    p, pat = tail.period, set(tail.pattern)
     for d in range(1, p + 1):
         if p % d:
             continue
-        if {(r + d) % p for r in pat} == set(pat):
-            return Tail(d, frozenset(r % d for r in pat))
+        if {(r + d) % p for r in pat} == pat:
+            return Tail(d, _mask(r % d for r in pat))
     return tail
 
 
@@ -51,7 +57,8 @@ def _lift(tail: Tail | None, P: int) -> frozenset[int]:
     """Residues mod P whose reduction lies in the tail pattern."""
     if tail is None:
         return frozenset()
-    return frozenset(r for r in range(P) if (r % tail.period) in tail.pattern)
+    pattern = set(tail.pattern)
+    return frozenset(r for r in range(P) if (r % tail.period) in pattern)
 
 
 def _residue_sum(U: frozenset[int], V: frozenset[int], P: int) -> frozenset[int]:
@@ -107,15 +114,15 @@ def _ref_zsumset(A, B):
             if zcontains(A, x - b):
                 return True
         if A.right is not None and B.right is not None:
-            pa, qa = A.right.period, A.right.pattern
-            pb, qb = B.right.period, B.right.pattern
+            pa, qa = A.right.period, set(A.right.pattern)
+            pb, qb = B.right.period, set(B.right.pattern)
             top = min(A.hi + P, x - B.hi + 1)
             for a in range(A.hi, top):
                 if a % pa in qa and (x - a) % pb in qb:
                     return True
         if A.left is not None and B.left is not None:
-            pa, qa = A.left.period, A.left.pattern
-            pb, qb = B.left.period, B.left.pattern
+            pa, qa = A.left.period, set(A.left.pattern)
+            pb, qb = B.left.period, set(B.left.pattern)
             bottom = max(A.lo - P, x - B.lo + 1)
             for a in range(bottom, A.lo):
                 if a % pa in qa and (x - a) % pb in qb:
@@ -198,7 +205,7 @@ def test_reduce_tail_matches_the_rotation_search():
         pattern = frozenset(b + j * d for b in base for j in range(p // d))
         if rng.random() < 0.3:
             pattern = frozenset(rng.sample(range(p), rng.randint(1, p)))
-        tail = Tail(p, pattern)
+        tail = Tail(p, _mask(pattern))
         assert _reduce_tail(tail) == _ref_reduce_tail(tail)
 
 
@@ -211,7 +218,9 @@ def test_canonical_rotation_matches_the_sorted_search():
             d = rng.choice([d for d in range(1, p + 1) if p % d == 0])
             base = rng.sample(range(d), rng.randint(0, d))
             pattern = frozenset(b + j * d for b in base for j in range(p // d))
-        assert _canonical_rotation(p, pattern) == _ref_canonical_rotation(p, pattern)
+        assert _canonical_rotation(p, _mask(pattern)) == \
+            _mask(_ref_canonical_rotation(p, pattern))
     for p, size in [(2048, 1024), (4096, 64), (4096, 4)]:
         pattern = frozenset(rng.sample(range(p), size))
-        assert _canonical_rotation(p, pattern) == _ref_canonical_rotation(p, pattern)
+        assert _canonical_rotation(p, _mask(pattern)) == \
+            _mask(_ref_canonical_rotation(p, pattern))
