@@ -96,7 +96,8 @@ def _low_bits(mask: int) -> Iterator[int]:
 
 def frac_str(x: Fraction | int) -> str:
     """An exact rational as "p/q" in lowest terms, integers as "n/1"."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -134,12 +135,17 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"not a rational p/q: {value!r}")
 
 
+_PLAIN_COLLECTIONS = frozenset((list, tuple, range))
+
+
 def collection(value, what: str) -> Iterator:
     """An iterator over an argument that lists members, tables or entries.
 
     A scalar, a string (or bytes) and a mapping are refused with one
     ValueError rather than iterated: iterating them would raise TypeError or
     silently read characters or keys."""
+    if type(value) in _PLAIN_COLLECTIONS:  # exact types: no abc check needed
+        return iter(value)
     if not isinstance(value, (str, bytes, bytearray, Mapping)):
         try:
             return iter(value)
@@ -265,10 +271,12 @@ class FiniteSet:
     mask: int
 
     def __post_init__(self) -> None:
-        mask = exact_int(self.mask, "set bitmask")
+        mask = self.mask
+        if type(mask) is not int:  # a plain int is what exact_int returns unchanged
+            mask = exact_int(mask, "set bitmask")
+            object.__setattr__(self, "mask", mask)
         if mask < 0 or mask > self.group.full_mask:
             raise ValueError("set bitmask does not fit the group")
-        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -290,9 +298,36 @@ class FiniteSet:
         return list(self.indices())
 
 
+# One shared GroupSpec per orders tuple, so its cached tables are worked out
+# once.  Only groups of order up to _MAX_INTERNED_ORDER are kept, at most
+# _MAX_INTERNED_GROUPS of them, so the kept tables take a few MiB at most;
+# any other group is built and gated as before, and not kept.
+_MAX_INTERNED_GROUPS = 1 << 10
+_MAX_INTERNED_ORDER = 1 << 12
+_groups: dict[tuple[int, ...], GroupSpec] = {}
+
+
 def make_group(orders: Iterable[int]) -> GroupSpec:
-    """Build a group from cyclic factor orders; rejects empty or non-positive input."""
-    return GroupSpec(orders)
+    """Build a group from cyclic factor orders; rejects empty or non-positive input.
+
+    Equal orders give one shared GroupSpec while the group is small enough to
+    be kept (see ``_MAX_INTERNED_ORDER``).  A list or tuple of plain ints is
+    looked up before any gate runs; anything else passes ``GroupSpec``'s gates
+    first (bools, floats and strings are refused there) and is then looked up
+    by the clean orders."""
+    if type(orders) is tuple or type(orders) is list:
+        key = tuple(orders)
+        # Only plain ints: (True,) and (1.0,) equal the key (1,), yet are refused.
+        if {int}.issuperset(map(type, key)):
+            group = _groups.get(key)
+            if group is not None:
+                return group
+    group = GroupSpec(orders)
+    if group.cardinality > _MAX_INTERNED_ORDER:
+        return group
+    if len(_groups) < _MAX_INTERNED_GROUPS:
+        return _groups.setdefault(group.orders, group)
+    return _groups.get(group.orders, group)
 
 
 def finite_set(group: GroupSpec, members: Iterable[int]) -> FiniteSet:

@@ -83,7 +83,13 @@ subset of the others in turn, so no table holds more than 2^14 covers
 glibc's default mmap threshold: larger tables, freed and allocated again
 on every call, come back as fresh pages whenever the heap holds no free
 chunk that large, which the memory layout left by the imports decides, so
-their cost would follow unrelated code.  Ratios are
+their cost would follow unrelated code.  Tables of 128 KiB did too: once
+glibc's dynamic thresholds (mallopt(3)) settle at about 132 KiB for mmap
+and twice that for trimming, the tables one call frees at the top of the
+heap are handed back to the system, and the next call faults them in
+again page by page, whenever the layout puts them there.  So the first
+enumeration raises the thresholds to 4 and 8 MiB by allocating and
+freeing one 4 MiB block (``_hold_freed_tables``).  Ratios are
 compared by integer cross-multiplication: in int64 when the square of the
 total integer weight, which bounds every product, is below 2^62, and
 otherwise by the same code on arrays of Python ints.  Ties go to the
@@ -372,6 +378,19 @@ def _byte_bits(dtype) -> np.ndarray:
     return bits
 
 
+@cache
+def _hold_freed_tables() -> None:
+    """Allocate and free one 4 MiB block, once per process.
+
+    glibc serves a block of at least its mmap threshold (128 KiB at first)
+    by mmap, and freeing one raises that threshold to the block's size and
+    the trim threshold to twice it (mallopt(3)).  Past this call, tables
+    that one enumeration frees, while they total less than 8 MiB, come from
+    the heap and go back to it, and are not handed to the system and faulted
+    in again page by page on the next call, whatever the heap's layout."""
+    np.empty(1 << 22, dtype=np.uint8)
+
+
 def _subset_blocks(
     sys: ActionSystem,
     covers: Sequence[int],
@@ -389,6 +408,7 @@ def _subset_blocks(
     when ``limit``, a bound on every product the caller forms from them, is
     below 2^62, and Python ints in object arrays otherwise.
     """
+    _hold_freed_tables()
     dtype = np.int64 if limit < _INT64_LIMIT else object
     union = base_cover
     for mask in covers:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .groups import collection, exact_int, finite_set, frac_str, make_group
@@ -37,6 +38,7 @@ __all__ = [
     "orbit_closure",
     "verify_correspondence",
     "recovery_window_ok",
+    "MAX_RECOVERY_WORK",
 ]
 
 
@@ -146,10 +148,40 @@ def orbit_closure(S: ZSetDesc) -> OrbitSystem:
     return OrbitSystem(S, orbits, degenerate)
 
 
+# recovery_window_ok reads its points one shift of the descriptor each, and a
+# shift rebuilds the head: a point costs about |head| + 128 units (the 128
+# stand for the two tails at period 4096).  A window whose points would cost
+# more than this many units together is refused.
+MAX_RECOVERY_WORK = 1 << 21
+
+
 def recovery_window_ok(orb: OrbitSystem, lo: int, hi: int) -> bool:
-    """Check that reading B along the base-point orbit recovers S on [lo, hi)."""
+    """Check that reading B along the base-point orbit recovers S on [lo, hi).
+
+    A point g holds when ``orb.b_xo_contains(g)``, read through a shift of
+    S, equals ``zcontains(S, g)``.  Below S.lo and from S.hi on, both sides
+    are periodic in g with that side's tail period (an absent tail reads
+    "no" everywhere), so only one period of each tail's part of the window
+    is read, and the window may be of any length.  The part inside S's head
+    window is read point by point.  When the points read times (|head| + 128)
+    exceed ``MAX_RECOVERY_WORK``, the window is refused with a ValueError.
+    An empty window holds.
+    """
     lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
-    return all(orb.b_xo_contains(g) == zcontains(orb.source, g) for g in range(lo, hi))
+    S = orb.source
+    left_stop, right_start = min(hi, S.lo), max(lo, S.hi)
+    points = (range(max(lo, left_stop - _period(S.left)), left_stop),
+              range(max(lo, S.lo), min(hi, S.hi)),
+              range(right_start, min(hi, right_start + _period(S.right))))
+    work = sum(map(len, points)) * (len(S.head) + 128)
+    if work > MAX_RECOVERY_WORK:
+        raise ValueError(f"window [{lo}, {hi}) needs {work} units of work, "
+                         f"more than the limit {MAX_RECOVERY_WORK}")
+    return all(orb.b_xo_contains(g) == zcontains(S, g) for g in chain(*points))
+
+
+def _period(tail: Tail | None) -> int:
+    return 1 if tail is None else tail.period
 
 
 def verify_correspondence(S: ZSetDesc, A: Iterable[int]) -> CorrespondenceReport:

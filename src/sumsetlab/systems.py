@@ -27,7 +27,17 @@ always build and validate a new system.
 
 Ergodicity on a finite system reduces to orbit structure: invariance forces
 the measure to be constant on each orbit, so the system is ergodic exactly
-when the support of the measure is a single orbit.
+when the support of the measure is a single orbit.  A system is immutable,
+so ``is_ergodic`` works this out once per system and keeps the answer.
+
+An ergodic set A must move every support state onto the whole support, but
+one support state x decides it.  Every other support state is g.x for some
+g, since the support is one orbit, and a.(g.x) = g.(a.x) because the
+generators commute; so A.{g.x} = g.(A.{x}), and g maps the support onto
+itself.  ``is_ergodic_set`` therefore covers the lowest support state only.
+The argument needs commuting generators, which ``make_system`` checks; an
+``ActionSystem`` built directly, skipping ``make_system``, is outside this
+contract.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .groups import (
     frac_str,
     index_mask,
     iterated_sumset,
+    make_group,
     parse_fraction,
 )
 
@@ -147,6 +158,16 @@ class ActionSystem:
         w = self.int_weights
         return sum(w[x] for x in bit_indices(mask))
 
+    @cached_property
+    def _ergodic(self) -> bool:
+        """``is_ergodic``'s answer, worked out once: the system is immutable."""
+        support = self.support_mask
+        for orbit in orbits(self):
+            mask = sum(1 << x for x in orbit)
+            if support & mask:
+                return support == mask
+        return False
+
 
 @dataclass(frozen=True)
 class StateSubset:
@@ -154,10 +175,12 @@ class StateSubset:
     mask: int
 
     def __post_init__(self) -> None:
-        mask = exact_int(self.mask, "state bitmask")
+        mask = self.mask
+        if type(mask) is not int:  # a plain int is what exact_int returns unchanged
+            mask = exact_int(mask, "state bitmask")
+            object.__setattr__(self, "mask", mask)
         if mask < 0 or mask >> self.system.states:
             raise ValueError("state bitmask does not fit the system")
-        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -279,7 +302,7 @@ def measure_of(sys: ActionSystem, B: StateSubset) -> Fraction:
 
 def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, int]:
     """The bitmask of A.{x} for every state x of B, in ascending order of x."""
-    if A.group != sys.group:
+    if A.group is not sys.group and A.group != sys.group:
         raise ValueError("acting set lives in a different group")
     if A.mask == 0:
         raise ValueError("acting set must be non-empty")
@@ -287,9 +310,13 @@ def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, in
     # Generators commute, so the first factor's step may come last.  A is in
     # ascending order, so its elements with equal higher digits are adjacent:
     # their higher steps are taken once per point, then one lookup per element.
+    # An A below n0 has only the first factor's digits: one run, no higher step.
     n0 = sys.group.orders[0]
-    plan = [(sys._steps(high * n0), [a % n0 for a in run])
-            for high, run in groupby(A, lambda a: a // n0)]
+    if A.mask >> n0:
+        plan = [(sys._steps(high * n0), [a % n0 for a in run])
+                for high, run in groupby(A, lambda a: a // n0)]
+    else:
+        plan = [((), list(bit_indices(A.mask)))]
     cycle0, place0 = sys.cycles[0]
     out = {}
     for x in bit_indices(B.mask):
@@ -337,26 +364,26 @@ def orbits(sys: ActionSystem) -> list[list[int]]:
 
 
 def is_ergodic(sys: ActionSystem) -> bool:
-    """True iff the support of the measure is a single orbit."""
-    support = sys.support_mask
-    for orbit in orbits(sys):
-        mask = sum(1 << x for x in orbit)
-        if support & mask:
-            return support == mask
-    return False
+    """True iff the support of the measure is a single orbit.  The answer is
+    kept on the system, which is immutable."""
+    return sys._ergodic
 
 
 def is_ergodic_set(sys: ActionSystem, A: FiniteSet) -> bool:
     """True iff A.B has full measure for every positive-measure B.
 
-    By monotonicity it is enough to check singletons: for every state x in
-    the support, A.{x} must cover the support.
+    By monotonicity it is enough to check singletons: for every state y in
+    the support, A.{y} must cover the support.  One state x decides for all
+    of them.  The system is ergodic, so its support is the orbit of x, and
+    every y in it is g.x for some g.  The generators commute (``make_system``
+    checks this), so a.(g.x) = g.(a.x), that is A.{y} = g.(A.{x}); and g
+    permutes the support.  So A.{y} covers the support iff A.{x} does.
     """
     if not is_ergodic(sys):
         raise ValueError("ergodic-set certificates are defined over ergodic systems")
     support = sys.support_mask
-    covers = cover_masks(sys, A, StateSubset(sys, support))
-    return all(not support & ~hit for hit in covers.values())
+    x = support & -support
+    return not support & ~cover_masks(sys, A, StateSubset(sys, x))[x.bit_length() - 1]
 
 
 def is_ergodic_basis(sys: ActionSystem, A: FiniteSet, k: int) -> bool:
@@ -438,7 +465,7 @@ def quotient_system(group: GroupSpec, target_orders: Iterable[int]) -> ActionSys
     Each target order must divide the corresponding factor order, so the
     digit-wise reduction is a homomorphism.
     """
-    target = GroupSpec(target_orders)
+    target = make_group(target_orders)
     if len(target.orders) != len(group.orders):
         raise ValueError("quotient needs one target order per factor")
     for n, m in zip(group.orders, target.orders):

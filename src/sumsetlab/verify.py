@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .groups import (
@@ -95,6 +96,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64.below's rejection limit for each bound n it has seen, up to this many.
+_MAX_BELOW_LIMITS = 1 << 12
+_BELOW_LIMITS: dict[int, int] = {}
 
 
 class SplitMix64:
@@ -112,9 +116,13 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection so there is no modulo bias."""
-        if n <= 0:
-            raise ValueError(f"below() needs a positive bound, got {n}")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        limit = _BELOW_LIMITS.get(n)
+        if limit is None:
+            if n <= 0:
+                raise ValueError(f"below() needs a positive bound, got {n}")
+            limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+            if len(_BELOW_LIMITS) < _MAX_BELOW_LIMITS:
+                _BELOW_LIMITS[n] = limit
         while True:
             x = self.next_u64()
             if x < limit:
@@ -624,8 +632,9 @@ DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 EPSILONS = (Fraction(1, 100), Fraction(1, 10))
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+@lru_cache(maxsize=256)
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def _random_group(rng: SplitMix64, max_order: int):
@@ -1026,7 +1035,8 @@ def run_campaign(cfg: CampaignConfig) -> VerificationReport:
     rows: list[CheckResult] = []
     for check in cfg.checks:
         driver = drivers[check]
+        base = cfg.seed ^ _fnv1a64(check)
         for i in range(cfg.instances):
-            sub = (cfg.seed ^ _fnv1a64(check) ^ (i * _GOLDEN)) & _MASK64
+            sub = (base ^ (i * _GOLDEN)) & _MASK64
             rows.append(driver(SplitMix64(sub), cfg, f"{check}-{i:06d}"))
     return VerificationReport(cfg, tuple(rows))

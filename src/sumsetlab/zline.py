@@ -132,10 +132,13 @@ def _tail_count(tail: Tail | None, start: int, stop: int) -> int:
 
 
 def _reduce_tail(tail: Tail) -> Tail:
-    """Rewrite a tail over its minimal period: the least d whose rotation fixes it."""
+    """Rewrite a tail over its minimal period: the least divisor d of the
+    period whose rotation fixes it.  The divisors come in pairs (d, p // d)
+    with d <= sqrt(p), so at most 2 * sqrt(p) rotations are tried."""
     p, mask = tail.period, tail.mask
-    for d in range(1, p):
-        if p % d == 0 and _rotate(mask, p, d) == mask:
+    low = [d for d in range(1, math.isqrt(p) + 1) if p % d == 0]
+    for d in low + [p // d for d in reversed(low) if d * d != p]:
+        if d < p and _rotate(mask, p, d) == mask:
             return Tail(d, mask & ((1 << d) - 1))
     return tail
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -107,3 +109,23 @@ def zdescs(draw, max_period=6, head_span=8):
     lo = min(head) if head else 0
     hi = max(head) + 1 if head else 0
     return zdesc(head, lo, hi, left, right)
+
+
+class ExampleTimeout(BaseException):
+    """Raised by the alarm.  Not an Exception, so neither ``main``'s handler nor
+    hypothesis's shrinker catches it, and the hanging example fails at once."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: int, what):
+    """Raise ExampleTimeout in the running code once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise ExampleTimeout(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

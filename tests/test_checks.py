@@ -727,6 +727,63 @@ def test_campaign_is_deterministic():
     assert a.to_csv() == b.to_csv()
 
 
+class _ReferenceSplitMix64:
+    """SplitMix64 and its rejection draw as first written, limit worked out per call."""
+
+    def __init__(self, seed: int):
+        self.state = seed & (1 << 64) - 1
+
+    def next_u64(self) -> int:
+        mask = (1 << 64) - 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            x = self.next_u64()
+            if x < limit:
+                return x % n
+
+
+def test_splitmix64_draws_equal_the_reference_stream():
+    for n in range(1, 41):
+        rng, ref = verify.SplitMix64(1000 + n), _ReferenceSplitMix64(1000 + n)
+        assert [rng.below(n) for _ in range(10_000)] == [ref.below(n) for _ in range(10_000)], n
+        assert rng.state == ref.state
+    # A bound near 2^64 rejects often: the cached limit must still be the right one.
+    rng, ref = verify.SplitMix64(7), _ReferenceSplitMix64(7)
+    big = (1 << 63) + 3
+    assert [rng.below(big) for _ in range(2000)] == [ref.below(big) for _ in range(2000)]
+
+
+def test_splitmix64_limit_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(verify, "_BELOW_LIMITS", {})
+    rng, ref = verify.SplitMix64(3), _ReferenceSplitMix64(3)
+    bound = verify._MAX_BELOW_LIMITS
+    draws = [(rng.below(n), ref.below(n)) for n in range(1, bound + 100)]
+    assert all(a == b for a, b in draws)
+    assert len(verify._BELOW_LIMITS) == bound
+
+
+@pytest.mark.parametrize("n", [0, -1, -(1 << 70)])
+def test_splitmix64_below_refuses_a_bound_below_one(n):
+    rng = verify.SplitMix64(1)
+    rng.below(5)
+    with pytest.raises(ValueError, match="positive bound"):
+        rng.below(n)
+    with pytest.raises(ValueError, match="positive bound"):
+        rng.below(n)
+
+
+def test_frac_str_keeps_a_fraction_and_reads_an_int():
+    assert frac_str(Fraction(6, -4)) == "-3/2"
+    assert frac_str(7) == "7/1" and frac_str(Fraction(0)) == "0/1"
+
+
 def test_campaign_check_selection_does_not_shift_streams():
     wide = run_campaign(CampaignConfig(seed=5, instances=6))
     narrow = run_campaign(CampaignConfig(seed=5, instances=6, checks=("prop21",)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import signal
 import tempfile
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from sumsetlab import disjoint_union, make_group, quotient_system, regular_syste
 from sumsetlab.cli import main
 from sumsetlab.systems import system_to_json
 
-from conftest import zdescs
+from conftest import ExampleTimeout, alarm, zdescs
 
 EXTREME = st.sampled_from([10**12, -10**12, 2**64, 10**40])
 NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=True),
@@ -40,25 +39,6 @@ SMALL_INTS = st.lists(st.integers(-2, 9), min_size=1, max_size=4)
 
 
 EXAMPLE_SECONDS = 10
-
-
-class ExampleTimeout(BaseException):
-    """Raised by the alarm.  Not an Exception, so neither ``main``'s handler nor
-    hypothesis's shrinker catches it, and the hanging example fails at once."""
-
-
-@contextlib.contextmanager
-def alarm(seconds: int, what):
-    def expire(signum, frame):
-        raise ExampleTimeout(f"{what} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _ints(values) -> str:

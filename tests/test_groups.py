@@ -48,6 +48,39 @@ def test_make_group_orders():
     assert group.orders == (4, 3) and all(type(n) is int for n in group.orders)
 
 
+def test_make_group_shares_one_group_per_orders_tuple():
+    z8 = make_group([8])
+    assert make_group((8,)) is z8 and make_group([np.int64(8)]) is z8
+    assert make_group(iter([8])) is z8 and make_group(range(8, 9)) is z8
+    assert make_group([2, 3]) is make_group((2, 3)) is not make_group([3, 2])
+    assert z8 == GroupSpec((8,)) and z8 is not GroupSpec((8,))
+    # (True,) and (1.0,) equal the key (1,) of an interned Z/1, yet stay refused.
+    make_group([1])
+    for orders in ([True], [1.0], ["1"], (True,), [8, True], [np.float64(8)]):
+        with pytest.raises(ValueError, match="factor order must be an integer"):
+            make_group(orders)
+
+
+def test_the_group_table_stays_bounded(monkeypatch):
+    from sumsetlab import groups as groups_module
+
+    monkeypatch.setattr(groups_module, "_groups", {})
+    table = groups_module._groups
+    # A group of larger order than the limit is built each time, not kept.
+    large = groups_module._MAX_INTERNED_ORDER + 1
+    assert make_group([large]) is not make_group([large]) and not table
+    bound = groups_module._MAX_INTERNED_GROUPS
+    made = [make_group([n, 2]) for n in range(1, bound + 101)]
+    assert len(table) == bound
+    assert make_group([bound, 2]) is made[bound - 1]
+    # Past the bound a group is still built and gated, but not kept.
+    late = make_group([bound + 50, 2])
+    assert late.orders == (bound + 50, 2) and late is not made[bound + 49]
+    assert len(table) == bound
+    with pytest.raises(ValueError):
+        make_group([bound + 200, 0])
+
+
 def test_mixed_radix_encoding_least_significant_first():
     g = make_group([2, 3])
     # index = d0 + 2*d1 with d0 in Z/2, d1 in Z/3

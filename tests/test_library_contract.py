@@ -76,14 +76,18 @@ from sumsetlab import (
 from sumsetlab.verify import CampaignConfig
 from sumsetlab.zline import ZSetDesc
 
+from conftest import alarm
+
 Z2, Z8, Z128 = make_group([2]), make_group([8]), make_group([128])
 R8, R128 = regular_system(Z8), regular_system(Z128)
 A, F, A128 = finite_set(Z8, [0, 1]), finite_set(Z8, [0]), finite_set(Z128, [0, 3])
 B, Bp = state_subset(R8, [0, 4]), state_subset(R8, [0])
 S = periodic(3, [0])
 ORBIT = orbit_closure(S)
+WIDE_HEAD = orbit_closure(zdesc([-10**12, 0], -10**12, 1, None, (3, [0])))
 
 WIDE = st.integers(-3, 300)  # every site below is cheap up to 300
+FAR = st.sampled_from([10**9, -10**9, 10**12, 2**62])  # windows that no point loop can read
 K = st.integers(-3, 70)  # a k-fold sumset on the line costs k - 1 sumsets
 RATIONAL = st.integers(-3, 3)
 
@@ -127,6 +131,8 @@ SITES = [
     ("zsumset_iterated k", "int", K, lambda v: zsumset_iterated(S, v)),
     ("verify_correspondence A", "int", WIDE, lambda v: verify_correspondence(S, [v])),
     ("recovery_window_ok hi", "int", WIDE, lambda v: recovery_window_ok(ORBIT, 0, v)),
+    ("recovery_window_ok far hi", "int", FAR, lambda v: recovery_window_ok(ORBIT, 0, v)),
+    ("recovery_window_ok far lo", "int", FAR, lambda v: recovery_window_ok(WIDE_HEAD, v, 1)),
     ("weyl_defect_window member", "int", WIDE,
      lambda v: weyl_defect_window([v], 301, [0.25])),
     ("weyl_defect_window window", "int", WIDE,
@@ -161,6 +167,9 @@ SITES = [
     (f"CampaignConfig {field}", "int", WIDE, lambda v, field=field: CampaignConfig(**{field: v}))
     for field in ("seed", "instances", "max_order", "max_set")
 ]
+
+# Each call ends well within this; one that hangs fails at once.
+EXAMPLE_SECONDS = 10
 
 NUMPY_INTS = (np.int16, np.int32, np.int64, np.uint16, np.uint64)
 STRINGS = st.sampled_from(["70", "-3", "1/2", " 2/6", "0.5", "1/0", "1e3", "", "x"])
@@ -202,13 +211,21 @@ def outcome(call, value):
 @given(cases())
 def test_every_numeric_argument_ends_in_a_result_or_a_value_error(case):
     (name, kind, _, call), what, value = case
-    got = outcome(call, value)
-    if what == "numpy":
-        assert got == outcome(call, int(value)), (name, value)
+    with alarm(EXAMPLE_SECONDS, (name, value)):
+        got = outcome(call, value)
+        if what == "numpy":
+            assert got == outcome(call, int(value)), (name, value)
     refused = what in ("float", "bool") or (kind == "int" and what in ("str", "none")) \
         or (kind == "rational" and what == "none")
     if refused:
         assert got == "ValueError", (name, value, got)
+
+
+def test_a_billion_point_recovery_window_ends_within_a_second():
+    for orb in (ORBIT, WIDE_HEAD):
+        with alarm(1, "recovery_window_ok(orb, 0, 10**9)"):
+            assert outcome(lambda hi: recovery_window_ok(orb, 0, hi), 10**9) in (
+                "True", "False", "ValueError")
 
 
 def test_every_site_accepts_some_valid_value():

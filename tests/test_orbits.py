@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
+    OrbitSystem,
     banach_lower,
     banach_upper,
     finite,
@@ -19,10 +21,11 @@ from sumsetlab import (
     periodic,
     recovery_window_ok,
     verify_correspondence,
+    zcontains,
     zdesc,
 )
 
-from conftest import zdescs
+from conftest import alarm, zdescs
 
 EVENS = periodic(2, [0])
 NONNEG = zdesc((), 0, 0, None, (1, [0]))
@@ -153,6 +156,52 @@ def test_correspondence_relations_hold_in_general(S, A):
 @given(zdescs())
 def test_recovery_property(S):
     assert recovery_window_ok(orbit_closure(S), -150, 150)
+
+
+@dataclass(frozen=True)
+class _FlippedOrbit(OrbitSystem):
+    """An orbit system whose shift route answers wrongly at one point."""
+
+    flip: int = 0
+
+    def b_xo_contains(self, g: int) -> bool:
+        return super().b_xo_contains(g) != (g == self.flip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zdescs(), st.integers(-40, 40), st.integers(0, 80), st.data())
+def test_recovery_reads_every_point_it_needs(S, lo, width, data):
+    # The head window's points and one period of each tail's part are read,
+    # so a wrong answer at any of them fails the window.  Deeper tail points
+    # repeat one of those, since both routes are periodic there.
+    orb = orbit_closure(S)
+    hi = lo + width
+    pointwise = all(orb.b_xo_contains(g) == zcontains(S, g) for g in range(lo, hi))
+    assert recovery_window_ok(orb, lo, hi) == pointwise
+    left_p = S.left.period if S.left else 1
+    right_p = S.right.period if S.right else 1
+    left_stop, right_start = min(hi, S.lo), max(lo, S.hi)
+    read = [*range(max(lo, left_stop - left_p), left_stop),
+            *range(max(lo, S.lo), min(hi, S.hi)),
+            *range(right_start, min(hi, right_start + right_p))]
+    assert all(lo <= g < hi for g in read)
+    if read:
+        flip = data.draw(st.sampled_from(read))
+        broken = _FlippedOrbit(orb.source, orb.orbits, orb.degenerate, flip)
+        assert not recovery_window_ok(broken, lo, hi)
+
+
+def test_recovery_of_a_window_of_any_length_is_bounded():
+    S = zdesc([0, 2, 3], 0, 4, (6, [1, 4]), (4, [0, 3]))
+    for orb in (orbit_closure(S), orbit_closure(periodic(4096, [0, 5]))):
+        with alarm(5, "a recovery window of 2 * 10**12 points"):
+            assert recovery_window_ok(orb, -10**12, 10**12)
+    # A wide head window is read point by point, and past the work limit refused.
+    wide = orbit_closure(finite([0, 10**9]))
+    assert recovery_window_ok(wide, 10**9 - 50, 10**9 + 50)
+    with pytest.raises(ValueError, match="work"):
+        recovery_window_ok(wide, 0, 10**9)
+    assert recovery_window_ok(wide, 5, 5) and recovery_window_ok(wide, 9, 3)
 
 
 @settings(max_examples=60, deadline=None)

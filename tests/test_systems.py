@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
+    FiniteSet,
     apply_set,
     disjoint_union,
     finite_set,
@@ -586,3 +587,76 @@ def test_a_build_may_use_the_memo():
     assert not t.is_alive()
     assert done[0].states == 12
     assert system_memo_info()["systems"] == 4
+
+
+# ---------------------------------------------------------------------------
+# is_ergodic_set reads one support state; the reference reads all of them
+
+
+def _covers_every_support_state(sysm, A):
+    """The all-states definition, through ``ActionSystem.apply`` element by element:
+    for every state y of the support, A.{y} contains the support."""
+    support = sysm.support_mask
+    ys = [y for y in range(sysm.states) if support >> y & 1]
+    return all(sum({1 << sysm.apply(a, y) for a in A}) & support == support for y in ys)
+
+
+def _small_groups():
+    """Every cyclic group of order 2..12, and every two-factor one with factors >= 2."""
+    out = [make_group([n]) for n in range(2, 13)]
+    out += [make_group([a, b]) for a in range(2, 7) for b in range(2, 7) if a * b <= 12]
+    return out
+
+
+def _quotient_targets(group):
+    targets = itertools.product(*([d for d in range(1, n + 1) if n % d == 0]
+                                  for n in group.orders))
+    return [list(t) for t in targets if any(d > 1 for d in t)]
+
+
+def test_one_support_state_decides_every_acting_set_on_small_systems():
+    # Every quotient (the regular system among them) of every group of order
+    # <= 12, and every non-empty A: covers[A][y] is A.{y}, grown one element
+    # of A at a time from the per-element action table.
+    for group in _small_groups():
+        n = group.cardinality
+        for target in _quotient_targets(group):
+            sysm = quotient_system(group, target)
+            support = sysm.support_mask
+            image = [[1 << sysm.apply(a, y) for y in range(sysm.states)] for a in range(n)]
+            covers = [[0] * sysm.states]
+            for A in range(1, 1 << n):
+                top = A.bit_length() - 1
+                rest = covers[A ^ (1 << top)]
+                covers.append([c | i for c, i in zip(rest, image[top])])
+                want = all(c & support == support for c in covers[A])
+                assert is_ergodic_set(sysm, FiniteSet(group, A)) == want, (group, target, A)
+
+
+def test_the_one_state_test_matches_the_all_states_reference_on_seeded_draws():
+    rng = random.Random(20260)
+    for _ in range(300):
+        orders = rng.choice([[rng.randint(2, 24)], [rng.randint(2, 6), rng.randint(2, 6)]])
+        group = make_group(orders)
+        target = rng.choice(_quotient_targets(group))
+        sysm = quotient_system(group, target)
+        A = finite_set(group, rng.sample(range(group.cardinality),
+                                         rng.randint(1, min(8, group.cardinality))))
+        assert is_ergodic_set(sysm, A) == _covers_every_support_state(sysm, A)
+
+
+def test_the_one_state_test_still_refuses_non_ergodic_systems():
+    for group in _small_groups():
+        targets = _quotient_targets(group)
+        union = disjoint_union(quotient_system(group, targets[0]),
+                               quotient_system(group, targets[-1]))
+        for A in (FiniteSet(group, 1), full_set(group)):
+            with pytest.raises(ValueError, match="ergodic systems"):
+                is_ergodic_set(union, A)
+
+
+def test_ergodicity_is_worked_out_once_per_system():
+    sysm = make_system(Z4, 4, [rotation_table(4)])
+    assert is_ergodic(sysm) and "_ergodic" in vars(sysm)
+    split = disjoint_union(regular_system(Z4), regular_system(Z4))
+    assert not is_ergodic(split) and vars(split)["_ergodic"] is False
