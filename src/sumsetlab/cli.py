@@ -143,8 +143,9 @@ def cmd_verify(args) -> int:
     if out is None:
         outdir = os.environ.get("SUMSETLAB_OUTDIR", ".")
         out = os.path.join(outdir, f"report.{args.format}")
-    Path(out).write_text(report.render(args.format))
     summary = report.summary()
+    Path(out).write_text(report.to_json(_summary=summary) if args.format == "json"
+                         else report.to_csv())
     for name in cfg.checks:
         slot = summary["checks"].get(name, {"held": 0, "violated": 0, "vacuous": 0})
         print(f"{name}: {slot['held']} held, {slot['violated']} violated, "

@@ -187,10 +187,12 @@ def _period(tail: Tail | None) -> int:
 def verify_correspondence(S: ZSetDesc, A: Iterable[int]) -> CorrespondenceReport:
     """Check the four exact density relations between S and its orbit closure.
 
-    With mu the listed ergodic measure maximizing mu(B):
+    With mu the first listed ergodic measure maximizing mu(B):
       d_upper(S) = mu(B)           and   d_upper(A + S) >= mu(A.B);
     and some listed nu satisfies
       d_lower(S) <= nu(B)          and   d_lower(A + S) >= nu(A.B).
+    nu is the first such measure; when there is none, the last listed one is
+    reported and both lower relations fail.
     """
     A = sorted({exact_int(a, "acting element") for a in collection(A, "acting set")})
     if not A:
@@ -200,29 +202,20 @@ def verify_correspondence(S: ZSetDesc, A: Iterable[int]) -> CorrespondenceReport
     du_s, dl_s = banach_upper(S), banach_lower(S)
     du_t, dl_t = banach_upper(T), banach_lower(T)
 
-    mu = max(orb.orbits, key=lambda o: o.b_measure)
-    relations = [
-        Relation("upper density of S equals mu(B)", "==", du_s, mu.b_measure,
-                 du_s == mu.b_measure),
-        Relation("upper density of A+S dominates mu(A.B)", ">=", du_t,
-                 mu.ab_measure(A), du_t >= mu.ab_measure(A)),
-    ]
-
-    nu = None
-    for o in orb.orbits:
-        if dl_s <= o.b_measure and dl_t >= o.ab_measure(A):
-            nu = o
-            break
-    report_nu = nu if nu is not None else orb.orbits[-1]
-    relations.insert(1, Relation(
-        "lower density of S below nu(B)", "<=", dl_s, report_nu.b_measure,
-        nu is not None and dl_s <= report_nu.b_measure))
-    relations.append(Relation(
-        "lower density of A+S dominates nu(A.B)", ">=", dl_t,
-        report_nu.ab_measure(A), nu is not None and dl_t >= report_nu.ab_measure(A)))
+    measures = [(o, o.b_measure, o.ab_measure(A)) for o in orb.orbits]
+    mu, mu_b, mu_ab = max(measures, key=lambda m: m[1])
+    nu = next((m for m in measures if dl_s <= m[1] and dl_t >= m[2]), None)
+    # nu meets both lower relations, so they hold exactly when it exists.
+    report_nu, nu_b, nu_ab = measures[-1] if nu is None else nu
+    relations = (
+        Relation("upper density of S equals mu(B)", "==", du_s, mu_b, du_s == mu_b),
+        Relation("lower density of S below nu(B)", "<=", dl_s, nu_b, nu is not None),
+        Relation("upper density of A+S dominates mu(A.B)", ">=", du_t, mu_ab, du_t >= mu_ab),
+        Relation("lower density of A+S dominates nu(A.B)", ">=", dl_t, nu_ab, nu is not None),
+    )
 
     return CorrespondenceReport(
-        relations=tuple(relations),
+        relations=relations,
         mu_side=mu.side,
         nu_side=report_nu.side if nu is not None else None,
         degenerate=orb.degenerate,

@@ -155,6 +155,10 @@ class ActionSystem:
 
     def mass(self, mask: int) -> int:
         """The measure of a state bitmask in units of 1/D."""
+        if type(mask) is not int:  # a plain int is what exact_int returns unchanged
+            mask = exact_int(mask, "state bitmask")
+        if mask < 0 or mask >> self.states:
+            raise ValueError("state bitmask does not fit the system")
         w = self.int_weights
         return sum(w[x] for x in bit_indices(mask))
 

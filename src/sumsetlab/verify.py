@@ -94,11 +94,9 @@ __all__ = [
     "run_campaign",
 ]
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# SplitMix64.below's rejection limit for each bound n it has seen, up to this many.
-_MAX_BELOW_LIMITS = 1 << 12
-_BELOW_LIMITS: dict[int, int] = {}
 
 
 class SplitMix64:
@@ -116,13 +114,11 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection so there is no modulo bias."""
-        limit = _BELOW_LIMITS.get(n)
-        if limit is None:
-            if n <= 0:
-                raise ValueError(f"below() needs a positive bound, got {n}")
-            limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-            if len(_BELOW_LIMITS) < _MAX_BELOW_LIMITS:
-                _BELOW_LIMITS[n] = limit
+        if type(n) is not int:  # a plain int is what exact_int returns unchanged
+            n = exact_int(n, "bound")
+        if n <= 0:
+            raise ValueError(f"below() needs a positive bound, got {n}")
+        limit = _TWO64 - _TWO64 % n
         while True:
             x = self.next_u64()
             if x < limit:
@@ -134,16 +130,26 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
     def sample(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), sorted (partial Fisher-Yates)."""
+        """k distinct indices from range(n), sorted (partial Fisher-Yates in O(k) memory)."""
+        if type(n) is not int:
+            n = exact_int(n, "population size")
+        if type(k) is not int:
+            k = exact_int(k, "sample size")
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
-        idx = list(range(n))
+        moved: dict[int, int] = {}  # position -> the index a swap left there
+        picked = []
         for i in range(k):
             j = i + self.below(n - i)
-            idx[i], idx[j] = idx[j], idx[i]
-        return sorted(idx[:k])
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return sorted(picked)
 
     def nonempty_subset(self, n: int, max_size: int) -> list[int]:
+        if type(n) is not int:
+            n = exact_int(n, "population size")
+        if type(max_size) is not int:
+            max_size = exact_int(max_size, "max_size")
         size = 1 + self.below(max(1, min(max_size, n)))
         return self.sample(n, min(size, n))
 
@@ -681,10 +687,24 @@ def _random_sset(rng: SplitMix64, sys: ActionSystem, max_size: int) -> StateSubs
     return state_subset(sys, rng.nonempty_subset(sys.states, max_size))
 
 
-def _random_subset_of(rng: SplitMix64, sys: ActionSystem, B: StateSubset) -> StateSubset:
-    pool = list(B.indices())
-    picked = [pool[i] for i in rng.nonempty_subset(len(pool), len(pool))]
-    return state_subset(sys, picked)
+def _draw(rng: SplitMix64, cfg: CampaignConfig, a_size: int, b_size: int | None = None, *,
+          need_ergodic: bool = False) -> tuple[ActionSystem, FiniteSet, StateSubset]:
+    """A system, A of at most a_size elements and B of at most b_size states
+    (cfg.max_set by default), drawn in that order."""
+    sys = _random_system(rng, cfg.max_order, need_ergodic=need_ergodic)
+    A = _random_fset(rng, sys.group, a_size)
+    B = _random_sset(rng, sys, min(cfg.max_set if b_size is None else b_size, sys.states))
+    return sys, A, B
+
+
+def _draw_b_prime(rng: SplitMix64, sys: ActionSystem, A: FiniteSet, B: StateSubset,
+                  share: int, of: int, k: int | None = None) -> StateSubset:
+    """B' in B: in ``share`` of ``of`` draws the witness of c(A, B), or of
+    c(A^k, B) when k is given; otherwise a random non-empty subset of B."""
+    if rng.below(of) < share:
+        return mag_ratio(sys, A if k is None else iterated_sumset(A, k), B).witness
+    pool = B.indices()
+    return state_subset(sys, [pool[i] for i in rng.nonempty_subset(len(pool), len(pool))])
 
 
 def _random_zdesc(rng: SplitMix64, max_period: int) -> ZSetDesc:
@@ -726,9 +746,7 @@ def _drive_thm1(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRes
 
 
 def _drive_thm2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=True)
-    A = _random_fset(rng, sys.group, 6)
-    B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
+    sys, A, B = _draw(rng, cfg, 6, need_ergodic=True)
     k = rng.choice(K_VALUES)
     return check_thm2(sys, A, B, k, instance)
 
@@ -756,49 +774,32 @@ def _drive_cor13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRe
 
 
 def _drive_prop12(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=False)
-    A = _random_fset(rng, sys.group, 6)
-    B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
+    sys, A, B = _draw(rng, cfg, 6)
     k = rng.choice(K_VALUES)
     return check_prop12(sys, A, B, k, instance)
 
 
 def _drive_petridis(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=False)
-    A = _random_fset(rng, sys.group, 5)
-    B = _random_sset(rng, sys, min(8, sys.states))
+    sys, A, B = _draw(rng, cfg, 5, 8)
     eps = rng.choice([Fraction(0)] + list(EPSILONS) + [Fraction(1, 2), Fraction(1)])
-    if rng.below(5) < 3:
-        Bp = mag_ratio(sys, A, B).witness
-    else:
-        Bp = _random_subset_of(rng, sys, B)
+    Bp = _draw_b_prime(rng, sys, A, B, 3, 5)
     F = _random_fset(rng, sys.group, 4)
     return check_petridis_lemma(sys, A, B, Bp, F, eps, instance)
 
 
 def _drive_petridis2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=False)
-    A = _random_fset(rng, sys.group, 4)
-    B = _random_sset(rng, sys, min(8, sys.states))
+    sys, A, B = _draw(rng, cfg, 4, 8)
     eps = rng.choice([Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
-    if rng.below(5) < 3:
-        Bp = mag_ratio(sys, A, B).witness
-    else:
-        Bp = _random_subset_of(rng, sys, B)
+    Bp = _draw_b_prime(rng, sys, A, B, 3, 5)
     k = rng.below(4)
     return check_petridis_growth(sys, A, B, Bp, eps, k, instance)
 
 
 def _drive_prop13(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=False)
-    A = _random_fset(rng, sys.group, 4)
-    B = _random_sset(rng, sys, min(10, sys.states))
+    sys, A, B = _draw(rng, cfg, 4, 10)
     k = rng.choice([1, 2])
     delta = rng.choice(DELTAS)
-    if rng.below(10) < 7:
-        Bp = mag_ratio(sys, iterated_sumset(A, k), B).witness
-    else:
-        Bp = _random_subset_of(rng, sys, B)
+    Bp = _draw_b_prime(rng, sys, A, B, 7, 10, k)
     return check_prop13_increment(sys, A, B, Bp, delta, k, instance)
 
 
@@ -818,17 +819,13 @@ def _drive_prop2(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckRe
 
 
 def _drive_prop21(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=False)
-    A = _random_fset(rng, sys.group, 6)
-    B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
+    sys, A, B = _draw(rng, cfg, 6)
     k = rng.choice(K_VALUES)
     return check_prop21(sys, A, B, k, instance)
 
 
 def _drive_prop22(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckResult:
-    sys = _random_system(rng, cfg.max_order, need_ergodic=True)
-    A = _random_fset(rng, sys.group, 6)
-    B = _random_sset(rng, sys, min(cfg.max_set, sys.states))
+    sys, A, B = _draw(rng, cfg, 6, need_ergodic=True)
     return check_prop22(sys, A, B, instance)
 
 
@@ -872,9 +869,9 @@ def _drive_oracle(rng: SplitMix64, cfg: CampaignConfig, instance: str) -> CheckR
 @dataclass(frozen=True)
 class Check:
     """A check's report name, the statement ``verify --help`` prints, and the
-    ``_drive_*`` function that draws one campaign instance.  That function
-    calls the public ``check_*`` function by its module-global name, so
-    rebinding the name reaches the campaign."""
+    ``_drive_*`` function that draws one campaign instance.  A driver calls its
+    ``check_*``, and the samplers ``mag_ratio`` and the system builders, by
+    module-global name, so rebinding a name reaches the campaign."""
 
     name: str
     statement: str
@@ -995,11 +992,12 @@ class VerificationReport:
             }
         return out
 
-    def to_json(self) -> str:
+    def to_json(self, *, _summary: dict | None = None) -> str:
+        """One line of JSON; pass ``_summary`` when ``summary()`` is already worked out."""
         payload = {
             "config": self.config.to_json(),
             "rows": [r.to_json() for r in self.rows],
-            "summary": self.summary(),
+            "summary": self.summary() if _summary is None else _summary,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -49,6 +49,7 @@ __all__ = [
     "periodic",
     "finite",
     "integers",
+    "is_empty",
     "zcontains",
     "shift",
     "banach_upper",

@@ -54,7 +54,7 @@ from sumsetlab.systems import (
 )
 from sumsetlab.verify import CheckResult
 
-from conftest import groups, system_instances
+from conftest import alarm, groups, system_instances
 
 Z4 = make_group([4])
 Z8 = make_group([8])
@@ -748,25 +748,40 @@ class _ReferenceSplitMix64:
             if x < limit:
                 return x % n
 
+    def sample(self, n: int, k: int) -> list[int]:
+        idx = list(range(n))
+        for i in range(k):
+            j = i + self.below(n - i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return sorted(idx[:k])
+
 
 def test_splitmix64_draws_equal_the_reference_stream():
     for n in range(1, 41):
         rng, ref = verify.SplitMix64(1000 + n), _ReferenceSplitMix64(1000 + n)
         assert [rng.below(n) for _ in range(10_000)] == [ref.below(n) for _ in range(10_000)], n
         assert rng.state == ref.state
-    # A bound near 2^64 rejects often: the cached limit must still be the right one.
+    # Every bound from 1 to 4195 in turn, on one stream.
+    rng, ref = verify.SplitMix64(3), _ReferenceSplitMix64(3)
+    assert [rng.below(n) for n in range(1, 4196)] == [ref.below(n) for n in range(1, 4196)]
+    # A bound near 2^64 rejects often: the limit must still be the right one.
     rng, ref = verify.SplitMix64(7), _ReferenceSplitMix64(7)
     big = (1 << 63) + 3
     assert [rng.below(big) for _ in range(2000)] == [ref.below(big) for _ in range(2000)]
 
 
-def test_splitmix64_limit_table_stays_bounded(monkeypatch):
-    monkeypatch.setattr(verify, "_BELOW_LIMITS", {})
-    rng, ref = verify.SplitMix64(3), _ReferenceSplitMix64(3)
-    bound = verify._MAX_BELOW_LIMITS
-    draws = [(rng.below(n), ref.below(n)) for n in range(1, bound + 100)]
-    assert all(a == b for a, b in draws)
-    assert len(verify._BELOW_LIMITS) == bound
+def test_splitmix64_sample_equals_the_dense_fisher_yates():
+    for n in range(0, 40):
+        rng, ref = verify.SplitMix64(n), _ReferenceSplitMix64(n)
+        for k in list(range(n + 1)) * 3:
+            assert rng.sample(n, k) == ref.sample(n, k), (n, k)
+        assert rng.state == ref.state
+
+
+def test_splitmix64_sample_allocates_for_k_not_n():
+    with alarm(1, "SplitMix64(1).sample(10**12, 1)"):
+        picked = verify.SplitMix64(1).sample(10**12, 1)
+    assert len(picked) == 1 and 0 <= picked[0] < 10**12
 
 
 @pytest.mark.parametrize("n", [0, -1, -(1 << 70)])

@@ -107,6 +107,7 @@ SITES = [
     ("StateSubset mask", "int", WIDE, lambda v: StateSubset(R8, v)),
     ("ActionSystem.apply state", "int", WIDE, lambda v: R128.apply(3, v)),
     ("ActionSystem.apply element", "int", WIDE, lambda v: R128.apply(v, 5)),
+    ("ActionSystem.mass mask", "int", WIDE, lambda v: R8.mass(v)),
     ("make_system states", "int", WIDE, lambda v: make_system(Z2, v, [[1, 0]])),
     ("make_system entry", "int", WIDE, lambda v: make_system(Z2, 2, [[v, 0]])),
     ("make_system weight", "rational", RATIONAL,
@@ -141,6 +142,11 @@ SITES = [
     ("petridis_constants |A|", "int", WIDE, lambda v: petridis_constants(v, 2)),
     ("petridis_constants k", "int", WIDE, lambda v: petridis_constants(2, v)),
     ("SplitMix64 seed", "int", WIDE, lambda v: SplitMix64(v).next_u64()),
+    ("SplitMix64.below n", "int", WIDE, lambda v: SplitMix64(1).below(v)),
+    ("SplitMix64.sample n", "int", WIDE, lambda v: SplitMix64(1).sample(v, 1)),
+    ("SplitMix64.sample k", "int", WIDE, lambda v: SplitMix64(1).sample(300, v)),
+    ("SplitMix64.nonempty_subset max_size", "int", WIDE,
+     lambda v: SplitMix64(1).nonempty_subset(5, v)),
     ("check_thm1 k", "int", K, lambda v: check_thm1(R8, finite_set(Z8, range(8)), B, v)),
     ("check_thm2 k", "int", K, lambda v: check_thm2(R8, A, B, v)),
     ("check_cor2_group k", "int", K, lambda v: check_cor2_group(A, F, v)),

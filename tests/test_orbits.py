@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,6 +122,22 @@ def test_half_line_report():
     assert rel[1].lhs == 0  # lower density
     assert report.mu_side == "right"
 
+
+@pytest.mark.parametrize("S, A", [
+    (EVENS, [0, 1]),
+    (NONNEG, [0, 2]),
+    (finite([0, 3]), [1]),
+    (zdesc([0, 2, 3], 0, 4, (6, {1, 4}), (4, {0, 3})), [0, 3, 7]),
+    (zdesc([5], 0, 9, (3, {0}), (5, {1, 2})), [-4, 0, 11]),
+])
+def test_correspondence_measures_each_limit_orbit_once(monkeypatch, S, A):
+    # The package attribute ``orbits`` is ``systems.orbits``, so reach the module by name.
+    module = sys.modules["sumsetlab.orbits"]
+    calls = []
+    real = module.apply_set
+    monkeypatch.setattr(module, "apply_set", lambda *args: calls.append(args) or real(*args))
+    verify_correspondence(S, A)
+    assert len(calls) <= len(orbit_closure(S).orbits)
 
 def test_report_rejects_empty_acting_set():
     with pytest.raises(ValueError, match="non-empty"):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
+import inspect
 import json
 import random
 import time
@@ -230,6 +233,18 @@ def test_values_one_past_the_range_are_refused():
 def test_zdesc_is_the_only_public_descriptor_constructor():
     assert "ZSetDesc" not in sumsetlab.__all__
     assert "ZSetDesc" not in zline.__all__
+
+
+def test_every_package_export_is_listed_by_its_home_module():
+    # The home module of a name is the one the package imports it from.
+    tree = ast.parse(inspect.getsource(sumsetlab))
+    homes = {alias.name: node.module for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names}
+    assert set(sumsetlab.__all__) <= set(homes)
+    unlisted = [name for name in sumsetlab.__all__
+                if name not in importlib.import_module(f"sumsetlab.{homes[name]}").__all__]
+    assert not unlisted
 
 
 def test_guards_accept_the_largest_workload_draws_and_reject_beyond():
