@@ -15,7 +15,16 @@ D, so measuring a state set is one integer sum.  Pushing states through a
 finite acting set always goes through ``cover_masks``.  ``make_system``
 builds the system first and validates it on the same cycle tables and
 integer weights the system then uses: each generator is walked into cycles
-once, and sign, sum (= D) and invariance are integer comparisons.
+once, and sign, sum (= D) and invariance are integer comparisons.  D and
+the integer weights are worked out once per run of equal weights, not once
+per state.  A uniform measure, a quotient and a union of such systems hold
+one run per distinct weight, and so does their JSON once ``make_system``
+has parsed each distinct string to one ``Fraction``; the runs are found
+without comparing Fractions, as equal neighbours are one object.  So a cold
+system, as ``system_from_json`` builds for every ``magratio --system``
+call, pays once per distinct weight for its measure.  On the same path a
+table row of plain ints passes with one type check, and a constant integer
+measure skips the invariance walk, since every permutation keeps it.
 
 Built systems are shared.  ``quotient_system`` (and so ``regular_system``)
 and ``disjoint_union`` return one immutable ``ActionSystem`` per distinct
@@ -48,7 +57,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from typing import Iterable
 
 from .groups import (
@@ -111,6 +120,15 @@ def _cycle_table(row: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     return cycle, place
 
 
+def _runs(weights: tuple[Fraction, ...]) -> list[tuple[Fraction, int]]:
+    """The weights as (weight, count) runs of equal entries.  A uniform measure
+    and every quotient or union, also as read back from its JSON, hold one run
+    per distinct weight, each run one repeated object (``make_system`` parses
+    each distinct string once), which ``groupby`` passes over without calling
+    ``Fraction.__eq__``."""
+    return [(w, len(list(run))) for w, run in groupby(weights)]
+
+
 @dataclass(frozen=True)
 class ActionSystem:
     group: GroupSpec
@@ -141,17 +159,24 @@ class ActionSystem:
     @cached_property
     def denominator(self) -> int:
         """The least common denominator D of the weights."""
-        return math.lcm(*(w.denominator for w in self.weights))
+        return math.lcm(*{w.denominator for w, _ in _runs(self.weights)})
 
     @cached_property
     def int_weights(self) -> tuple[int, ...]:
         """The weights in units of 1/D: weights[x] == int_weights[x] / D."""
         D = self.denominator
-        return tuple(w.numerator * (D // w.denominator) for w in self.weights)
+        return tuple(chain.from_iterable(repeat(w.numerator * (D // w.denominator), k)
+                                         for w, k in _runs(self.weights)))
 
     @cached_property
     def support_mask(self) -> int:
-        return sum(1 << x for x, w in enumerate(self.int_weights) if w > 0)
+        """The states of positive weight, set one run of equal weights at a time."""
+        mask = start = 0
+        for w, k in _runs(self.weights):
+            if w > 0:
+                mask |= ((1 << k) - 1) << start
+            start += k
+        return mask
 
     def mass(self, mask: int) -> int:
         """The measure of a state bitmask in units of 1/D."""
@@ -160,7 +185,7 @@ class ActionSystem:
         if mask < 0 or mask >> self.states:
             raise ValueError("state bitmask does not fit the system")
         w = self.int_weights
-        return sum(w[x] for x in bit_indices(mask))
+        return sum(map(w.__getitem__, bit_indices(mask)))
 
     @cached_property
     def _ergodic(self) -> bool:
@@ -222,8 +247,10 @@ def make_system(
     tables = []
     for j, row in enumerate(collection(action, "action")):
         try:
-            tables.append(tuple([exact_int(x, "table entry")
-                                 for x in collection(row, "generator table")]))
+            row = tuple(collection(row, "generator table"))
+            if set(map(type, row)) != {int}:  # a row of plain ints passes as it is
+                row = tuple([exact_int(x, "table entry") for x in row])
+            tables.append(row)
         except (TypeError, ValueError):
             raise ValueError(f"generator table {j} must be a list of integers") from None
     if len(tables) != len(group.orders):
@@ -261,7 +288,7 @@ def make_system(
         if sorted(row) != list(ident):
             raise ValueError(f"generator table {j} is not a permutation of the states")
     for j, (cycle, _) in enumerate(sys.cycles):
-        if any(group.orders[j] % len(members) for members in cycle):
+        if any(group.orders[j] % k for k in set(map(len, cycle))):
             raise ValueError(
                 f"generator table {j} does not have order dividing {group.orders[j]}; "
                 "the action is not a homomorphism"
@@ -269,19 +296,21 @@ def make_system(
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):
             a, b = tables[i], tables[j]
-            if any(a[b[x]] != b[a[x]] for x in range(states)):
+            if list(map(a.__getitem__, b)) != list(map(b.__getitem__, a)):
                 raise ValueError(f"generator tables {i} and {j} do not commute")
 
     if len(weights) != states:
         raise ValueError(f"measure has {len(weights)} entries for {states} states")
     w = sys.int_weights
-    if any(v < 0 for v in w):
+    least = min(w)
+    if least < 0:
         raise ValueError("measure weights must be non-negative")
     if sum(w) != sys.denominator:
         raise ValueError(f"measure weights sum to {Fraction(sum(w), sys.denominator)}, expected 1")
-    for j, row in enumerate(tables):
-        if any(w[row[x]] != w[x] for x in range(states)):
-            raise ValueError(f"measure is not invariant under generator table {j}")
+    if least != max(w):  # a constant measure is invariant under every permutation
+        for j, row in enumerate(tables):
+            if tuple(map(w.__getitem__, row)) != w:
+                raise ValueError(f"measure is not invariant under generator table {j}")
     return sys
 
 
@@ -304,6 +333,21 @@ def measure_of(sys: ActionSystem, B: StateSubset) -> Fraction:
     return Fraction(sys.mass(B.mask), sys.denominator)
 
 
+def _indices(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending.  A mask of at most 64
+    bits is read here, low bit first, without entering ``bit_indices`` and its
+    generator; a wider one keeps ``bit_indices``' reads, the linear one for a
+    wide, dense mask included."""
+    if mask >> 64:
+        return list(bit_indices(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, int]:
     """The bitmask of A.{x} for every state x of B, in ascending order of x."""
     if A.group is not sys.group and A.group != sys.group:
@@ -318,12 +362,12 @@ def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, in
     n0 = sys.group.orders[0]
     if A.mask >> n0:
         plan = [(sys._steps(high * n0), [a % n0 for a in run])
-                for high, run in groupby(A, lambda a: a // n0)]
+                for high, run in groupby(_indices(A.mask), lambda a: a // n0)]
     else:
-        plan = [((), list(bit_indices(A.mask)))]
+        plan = [((), _indices(A.mask))]
     cycle0, place0 = sys.cycles[0]
     out = {}
-    for x in bit_indices(B.mask):
+    for x in _indices(B.mask):
         mask = 0
         for high, firsts in plan:
             y = x

@@ -146,12 +146,17 @@ class SplitMix64:
         return sorted(picked)
 
     def nonempty_subset(self, n: int, max_size: int) -> list[int]:
+        """1 to min(n, max_size) distinct indices from range(n), sorted.  An
+        empty population or a max_size below 1 is refused before any draw."""
         if type(n) is not int:
             n = exact_int(n, "population size")
         if type(max_size) is not int:
             max_size = exact_int(max_size, "max_size")
-        size = 1 + self.below(max(1, min(max_size, n)))
-        return self.sample(n, min(size, n))
+        if n < 1:
+            raise ValueError(f"a non-empty subset needs a population of at least 1, got {n}")
+        if max_size < 1:
+            raise ValueError(f"a non-empty subset needs max_size >= 1, got {max_size}")
+        return self.sample(n, 1 + self.below(min(max_size, n)))
 
 
 def _fnv1a64(text: str) -> int:

@@ -794,6 +794,25 @@ def test_splitmix64_below_refuses_a_bound_below_one(n):
         rng.below(n)
 
 
+@pytest.mark.parametrize("n, max_size", [(0, 3), (-1, 3), (5, 0), (5, -2), (0, 0)])
+def test_splitmix64_nonempty_subset_refuses_before_drawing(n, max_size):
+    rng = verify.SplitMix64(1)
+    with pytest.raises(ValueError, match="non-empty subset"):
+        rng.nonempty_subset(n, max_size)
+    assert rng.state == verify.SplitMix64(1).state
+
+
+def test_splitmix64_nonempty_subset_keeps_its_stream():
+    for n in range(1, 13):
+        for max_size in (1, 2, 3, 5, 8, 13, 40):
+            rng, ref = verify.SplitMix64(100 * n + max_size), _ReferenceSplitMix64(100 * n + max_size)
+            for _ in range(20):
+                size = 1 + ref.below(min(max_size, n))
+                picked = rng.nonempty_subset(n, max_size)
+                assert picked == ref.sample(n, size) and 1 <= len(picked) <= min(n, max_size)
+            assert rng.state == ref.state
+
+
 def test_frac_str_keeps_a_fraction_and_reads_an_int():
     assert frac_str(Fraction(6, -4)) == "-3/2"
     assert frac_str(7) == "7/1" and frac_str(Fraction(0)) == "0/1"

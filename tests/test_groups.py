@@ -89,6 +89,14 @@ def test_mixed_radix_encoding_least_significant_first():
     assert group_add(g, 1, 2) == g.index((1, 1))  # (1,0)+(0,1) componentwise
 
 
+def test_finite_set_membership_and_length():
+    g = make_group([6, 4])
+    A = finite_set(g, [0, 5, 23])
+    assert len(A) == A.size == 3 and len(finite_set(g, [])) == 0
+    assert [x for x in range(-3, 28) if x in A] == [0, 5, 23]
+    assert 10**30 not in A and -(10**30) not in A
+
+
 def test_sumset_frozen_example():
     g = make_group([8])
     a = finite_set(g, [0, 1])

@@ -766,9 +766,10 @@ def reaching_the_sink(adj, head, cap):
     # Every arc is a minimum cut: the source side is {0}, yet 2 and 3 cannot
     # reach the sink either.
     (4, [(0, 2, 1), (2, 3, 1), (3, 1, 1)], 1, {0}, {0, 2, 3}),
-    # The greedy start sends 0 -> 2 -> 4 -> 1 and nothing more; three phases
-    # follow, on paths of four arcs (6, 7, 8), five (3, 4, 2, 5, through the
-    # reverse of 2 -> 4) and six (9 to 13, bottleneck 10 -> 11).
+    # The greedy start sends 0 -> 2 -> 4 -> 1 and nothing more, and the
+    # exchange pass 0 -> 3 -> 4 -> 2 -> 5 -> 1, through the reverse of 2 -> 4;
+    # two phases follow, on paths of four arcs (6, 7, 8) and six (9 to 13,
+    # bottleneck 10 -> 11).
     (14, [(0, 2, 1), (0, 3, 2), (2, 4, 1), (2, 5, 1), (3, 4, 1), (4, 1, 1), (5, 1, 1),
           (0, 6, 1), (6, 7, 1), (7, 8, 1), (8, 1, 1),
           (0, 9, 3), (9, 10, 3), (10, 11, 1), (11, 12, 3), (12, 13, 3), (13, 1, 3)],
@@ -783,4 +784,72 @@ def test_max_flow_returns_the_minimal_source_side(n, arcs, value, minimal, maxim
     assert flow == value
     assert {v for v in range(n) if level[v] >= 0} == minimal
     assert set(range(n)) - reaching_the_sink(adj, head, cap) == maximal
+    check_flow_certificate(adj, head, cap_in, cap, flow, level)
+
+
+def folded(supply, cost, covers):
+    """A network laid out as ``mag_ratio`` lays out its folded one: candidate i
+    is node 2 + i with source arc supply[i], shared state j is node 2 + m + j
+    with sink arc cost[j], and candidate i's cover arcs run to covers[i] in
+    order, each holding more than all the supply."""
+    m, big = len(supply), sum(supply) + 1
+    arcs = [(0, 2 + i, s) for i, s in enumerate(supply)]
+    arcs += [(2 + m + j, 1, c) for j, c in enumerate(cost)]
+    arcs += [(2 + i, 2 + m + j, big) for i, states in enumerate(covers) for j in states]
+    return 2 + m + len(cost), arcs
+
+
+def shortest_path_after_greedy(adj, head, cap):
+    """Arcs on a shortest augmenting path once every source arc, in order, has
+    pushed what it can along source -> b -> x -> sink; None if none is left."""
+    cap = list(cap)
+    into_sink = {head[e]: e ^ 1 for e in adj[1]}
+    for e in adj[0]:
+        for f in adj[head[e]]:
+            g = into_sink.get(head[f])
+            if g is not None:
+                pushed = min(cap[e], cap[f], cap[g])
+                for a in (e, f, g):
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+    dist, frontier = {0: 0}, [0]
+    while frontier and 1 not in dist:
+        nxt = []
+        for u in frontier:
+            for e in adj[u]:
+                if cap[e] and head[e] not in dist:
+                    dist[head[e]] = dist[u] + 1
+                    nxt.append(head[e])
+        frontier = nxt
+    return dist.get(1)
+
+
+@pytest.mark.parametrize("supply, cost, covers, after_greedy", [
+    # Candidates 2 and 3 both want state 6, which 2 fills first, and 2 can
+    # move over to 7; 4 and 5 do the same with states 8 and 9.  Each deficit
+    # is one exchange, and the flow reaches the whole supply.
+    ([1, 1, 1, 1], [1, 1, 1, 1], [[0, 1], [0], [2, 3], [2]], 5),
+    # An exchange that runs out: 3 moves 2's unit from state 4 to 5, the rest
+    # of 3's supply finds no state with room, and the flow stops at 2.
+    ([1, 3], [1, 1], [[0, 1], [0]], 5),
+    # 4 wants state 5, which 2 fills; 2 can only move to 6, which 3 fills,
+    # and 3 can move to 7: the one augmenting path has seven arcs.
+    ([1, 1, 1], [1, 1, 1], [[0, 1], [1, 2], [0]], 7),
+    # Candidate 2 fills states 4 and 5 and keeps a unit of supply; 3 wants 4
+    # too.  Only 2 feeds 4 or 5.  For 2 itself an exchange would route back
+    # through b (b2 = b); for 3 it would leave 2 only state 4 again (x2 = x)
+    # or 5, which is full.  No flow may move.
+    ([3, 1], [1, 1], [[0, 1], [0]], None),
+])
+def test_the_exchange_pass_on_folded_networks(supply, cost, covers, after_greedy):
+    n, arcs = folded(supply, cost, covers)
+    adj, head, cap = paired_network(n, arcs)
+    assert shortest_path_after_greedy(adj, head, cap) == after_greedy
+    ref = ReferenceDinic(n)
+    for u, v, c in arcs:
+        ref.add_edge(u, v, c)
+    cap_in = list(cap)
+    flow, level = magnification._max_flow(adj, head, cap)
+    assert flow == ref.max_flow(0, 1)
+    assert {v for v in range(n) if level[v] >= 0} == ref.source_side(0)
     check_flow_certificate(adj, head, cap_in, cap, flow, level)

@@ -69,6 +69,14 @@ def test_finite_set_closure_is_degenerate():
     assert all(o.b_measure == 0 for o in closure.orbits)
 
 
+def test_states_total_sums_the_limit_orbit_periods():
+    # A two-state orbit; a fixed point on each side; a six-state orbit; the
+    # empty fixed point of a finite set.
+    for S, total in ((EVENS, 2), (NONNEG, 2), (periodic(6, [0, 1]), 6), (finite([3, 5]), 1)):
+        closure = orbit_closure(S)
+        assert closure.states_total == total == sum(o.system.states for o in closure.orbits)
+
+
 def test_limit_orbit_systems_are_ergodic():
     for S in (EVENS, NONNEG, periodic(6, [0, 1])):
         for orb in orbit_closure(S).orbits:

@@ -175,6 +175,16 @@ def test_defect_json_shape():
     assert set(data) == {"defect", "worst_character", "set_size", "dtype"}
 
 
+def test_defect_json_carries_the_magnitudes_when_asked():
+    g = make_group([8])
+    data = equidist_defect(finite_set(g, [0, 4]), include_magnitudes=True).to_json()
+    assert set(data) == {"defect", "worst_character", "set_size", "dtype", "magnitudes"}
+    # Character k sums to 1 + (-1)^k over {0, 4}: magnitude 1 at even k, 0 at odd.
+    assert data["magnitudes"] == pytest.approx([1, 0, 1, 0, 1, 0, 1, 0], abs=1e-12)
+    assert data["worst_character"] == 2 and data["defect"] == pytest.approx(1.0)
+    assert all(type(m) is float for m in data["magnitudes"])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_defect_bounds_and_translation_invariance(data):

@@ -284,11 +284,50 @@ def test_integer_measure_of_a_directly_built_system():
     assert measure_of(sysm, state_subset(sysm, [0, 3, 7])) == Fraction(5, 12)
 
 
+def test_integer_weights_do_not_depend_on_runs_or_shared_weight_objects():
+    # D and the integer weights are worked out once per run of equal weights:
+    # shared objects, separate equal objects and scattered runs give the same.
+    base = quotient_system(Z8, [8])
+    values = [(1, 6)] * 3 + [(1, 4)] * 2 + [(0, 1)] * 3
+    shared = {v: Fraction(*v) for v in values}
+    one_each = ActionSystem(base.group, 8, base.generators, tuple(Fraction(*v) for v in values))
+    by_object = ActionSystem(base.group, 8, base.generators, tuple(shared[v] for v in values))
+    assert len({id(w) for w in one_each.weights}) == 8
+    for sysm in (one_each, by_object):
+        assert sysm.denominator == 12 and sysm.int_weights == (2, 2, 2, 3, 3, 0, 0, 0)
+    order = [5, 0, 3, 6, 1, 4, 7, 2]
+    scattered = ActionSystem(base.group, 8, base.generators, tuple(by_object.weights[i] for i in order))
+    assert scattered.int_weights == tuple(by_object.int_weights[i] for i in order)
+    assert scattered.support_mask == sum(1 << x for x, i in enumerate(order) if i < 5) == 0b10110110
+    assert ActionSystem(base.group, 8, base.generators, (Fraction(1, 8),) * 8).int_weights == (1,) * 8
+    # Z/8 acting trivially keeps every measure; make_system parses each string once.
+    parsed = make_system(Z8, 8, [range(8)], ["1/6"] * 3 + ["1/4"] * 2 + ["0"] * 3)
+    assert len({id(w) for w in parsed.weights}) == 3
+    assert parsed.int_weights == by_object.int_weights
+
+
+def test_table_rows_of_plain_ints_and_of_other_integers():
+    rows = [[1, 2, 3, 0]]
+    assert make_system(Z4, 4, [np.array(rows[0])]).generators == ((1, 2, 3, 0),)
+    assert make_system(Z4, 4, rows).generators == ((1, 2, 3, 0),)
+    for bad in ([1, 2, 3, False], [1, 2, 3.0, 0], [1, 2, "3", 0]):
+        with pytest.raises(ValueError, match="generator table 0 must be a list of integers"):
+            make_system(Z4, 4, [bad])
+
+
 def test_measure_of_uniform_regular_system():
     sysm = regular_system(Z8)
     assert measure_of(sysm, state_subset(sysm, [0, 1])) == Fraction(1, 4)
     assert measure_of(sysm, full_states(sysm)) == 1
     assert measure_of(sysm, state_subset(sysm, [])) == 0
+
+
+def test_state_subset_size_counts_its_states():
+    sysm = disjoint_union(regular_system(make_group([8])), quotient_system(make_group([8]), [4]))
+    for members in ([], [0], [1, 3, 7], [0, 8, 11], range(12)):
+        B = state_subset(sysm, members)
+        assert B.size == len(B.indices()) == len(set(members))
+    assert full_states(sysm).size == 12
 
 
 # ---------------------------------------------------------------------------

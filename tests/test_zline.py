@@ -76,6 +76,16 @@ def test_window_density_frozen_examples():
         window_density(EVENS, 3, 3)
 
 
+def test_zsetdesc_membership_is_zcontains():
+    head_and_tail = zdesc([-7, 2], -8, 4, right=(3, [1]))
+    for S in (EVENS, NONNEG, finite([3, 5]), head_and_tail):
+        assert [n for n in range(-20, 21) if n in S] == [n for n in range(-20, 21) if zcontains(S, n)]
+    assert 4 in EVENS and 3 not in EVENS and 10**30 in EVENS
+    assert 0 in NONNEG and -1 not in NONNEG and -(10**30) not in NONNEG
+    assert 10**30 in head_and_tail and 10**30 + 1 not in head_and_tail  # 10**30 % 3 == 1
+    assert -7 in head_and_tail and -8 not in head_and_tail
+
+
 def test_window_density_counts_a_long_window_by_whole_periods():
     start = time.perf_counter()
     assert window_density(EVENS, 0, 10**12) == Fraction(1, 2)
