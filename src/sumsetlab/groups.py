@@ -55,8 +55,8 @@ __all__ = [
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def bit_indices(mask: int) -> Iterator[int]:
-    """The positions of a mask's set bits, ascending, as an iterator.
+def bit_indices(mask: int) -> Iterable[int]:
+    """The positions of a mask's set bits, ascending.
 
     The mask is a non-negative integer as ``exact_int`` reads it; a negative,
     bool, float or string mask is refused with a ValueError.  Two reads give
@@ -64,12 +64,13 @@ def bit_indices(mask: int) -> Iterator[int]:
 
     - a mask of at most 64 bits, or one of width W with at most W / 8 and at
       most 256 set bits, clears its low bit once per set bit.  Each step
-      costs O(W / 64) word operations, so k set bits cost O(k * W), and
-      nothing is built up front: the cover masks of a few bits stay cheap at
-      any width;
+      costs O(W / 64) word operations, so k set bits cost O(k * W), and the
+      positions come back as a list: the cover masks of a few bits stay
+      cheap at any width;
     - a wider, denser mask is read in one linear pass over its binary digits,
-      O(W) whatever k is.  Binary formatting is exempt from
-      ``sys.set_int_max_str_digits``, so this works at any width.
+      O(W) whatever k is, and the positions come back as an iterator.
+      Binary formatting is exempt from ``sys.set_int_max_str_digits``, so
+      this works at any width.
 
     The cut-over sits where the two reads took about equal time on masks of
     65 to 262,144 bits (CPython 3.11).
@@ -87,11 +88,13 @@ def bit_indices(mask: int) -> Iterator[int]:
     return compress(range(len(flags)), flags)
 
 
-def _low_bits(mask: int) -> Iterator[int]:
+def _low_bits(mask: int) -> list[int]:
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def frac_str(x: Fraction | int) -> str:
@@ -292,7 +295,7 @@ class FiniteSet:
         return self.size
 
     def __iter__(self) -> Iterator[int]:
-        return bit_indices(self.mask)
+        return iter(bit_indices(self.mask))
 
     def to_json(self) -> list[int]:
         return list(self.indices())

@@ -50,8 +50,11 @@ some of it over to a state x2 with room, and b takes its place in x
 (source -> b -> x -> b2 -> x2 -> sink).  These are the paths Dinic's first
 phase would look for, found without its breadth-first search; on the
 benchmark's flow cuts the pass took the phases per cut from 6.2 to 5.2
-(counting the last search, which finds no path).  What is left goes to
-Dinic's algorithm with an iterative blocking-flow search.
+(counting the last search, which finds no path).  The pass only fills
+states, so each state keeps its place among its feeders and each feeder
+its place among its states, and the pass costs the arcs plus the pushes.
+What is left goes to Dinic's algorithm with an iterative blocking-flow
+search.
 Each phase labels nodes by their residual distance to the sink, by a
 breadth-first search over reversed arcs that stops once the source has a
 label, and the blocking search only steps from distance d to distance
@@ -173,18 +176,19 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
     once, in stored order, and pushes what the source arc and the sink arc
     still hold; on the closure network this carries most of the flow.  An
     exchange pass then walks, for each source arc with supply left, each
-    path source -> b -> x -> b2 -> x2 -> sink once: x's sink arc is full, b2
+    path source -> b -> x -> b2 -> x2 -> sink: x's sink arc is full, b2
     sends flow into x, and x2's sink arc has room, so b2 moves flow from x
-    to x2 and b sends as much into x.  Dinic's phases find the rest.  Each
-    phase labels nodes with their residual distance to the
-    sink, by a breadth-first search over reversed arcs that stops once the
-    source has a label, and finds a blocking flow along arcs that lower the
-    distance by one, without recursion.  At the start of a phase every
-    labelled node has such an arc, so the search dead-ends only where this
-    phase saturated one; after an augmentation it resumes at the tail of
-    the first arc it saturated, and a node that dead-ends loses its label
-    for the rest of the phase.  When the source gets no label, no residual
-    path reaches the sink and the forward search returns the cut.
+    to x2 and b sends as much into x.  A feeder or an arc it passes over
+    stays of no use, so it walks each arc once, plus once per push.  Dinic's
+    phases find the rest.  Each phase labels nodes with their residual
+    distance to the sink, by a breadth-first search over reversed arcs that
+    stops once the source has a label, and finds a blocking flow along arcs
+    that lower the distance by one, without recursion.  At the start of a
+    phase every labelled node has such an arc, so the search dead-ends only
+    where this phase saturated one; after an augmentation it resumes at the
+    tail of the first arc it saturated, and a node that dead-ends loses its
+    label for the rest of the phase.  When the source gets no label, no
+    residual path reaches the sink and the forward search returns the cut.
     """
     n = len(adj)
     flow = 0
@@ -214,13 +218,14 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
         cap[e] = left
         cap[e ^ 1] += pushed
         flow += pushed
-    # A source arc with supply left now reaches only full states.  For each
-    # full x it feeds, another b2 that sends flow into x moves some of it over
-    # to an x2 with room, and b takes its place in x: the path source -> b ->
-    # x -> b2 -> x2 -> sink.  b, x and b2 are neither the source nor the
-    # sink, b2 is not b and x2 is not x, so the path repeats no arc.  (After
-    # the greedy start b has no state with room and x has none either, so b2 =
-    # b or x2 = x could carry nothing; skipping b spares a walk of its arcs.)
+    # A candidate b with supply left now reaches only full states, and this
+    # pass only fills states.  For each full x that b feeds, another b2 that
+    # sends flow into x moves some of it to an x2 with room, and b takes its
+    # place: the path source -> b -> x -> b2 -> x2 -> sink.  An arc into a
+    # full state stays of no use, and x gains a feeder only in a candidate,
+    # which reaches no room, so each node keeps its place in its arcs (at[v])
+    # from one visit to the next and the pass is linear in arcs plus pushes.
+    at = [0] * n
     for e in adj[0]:
         left = cap[e]
         b = head[e]
@@ -230,29 +235,34 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int]) -> tuple[in
             x = head[f]
             if x < 2 or not cap[f] or sink_arc[x] < 0:
                 continue
-            for r in adj[x]:
+            feeders, i = adj[x], at[x]
+            while i < len(feeders):
+                r = feeders[i]
                 b2 = head[r]
-                if not cap[r] or b2 == b or b2 < 2:
-                    continue
-                for f2 in adj[b2]:
-                    x2 = head[f2]
-                    g = sink_arc[x2]
-                    if g < 0 or not cap[g] or x2 == x or not cap[f2]:
-                        continue
-                    pushed = min(left, cap[f], cap[r], cap[f2], cap[g])
-                    left -= pushed
-                    cap[f] -= pushed
-                    cap[f ^ 1] += pushed
-                    cap[r] -= pushed
-                    cap[r ^ 1] += pushed
-                    cap[f2] -= pushed
-                    cap[f2 ^ 1] += pushed
-                    cap[g] -= pushed
-                    cap[g ^ 1] += pushed
-                    if not (left and cap[r] and cap[f]):
+                if cap[r] and b2 != b and b2 >= 2:
+                    arcs, j = adj[b2], at[b2]
+                    while j < len(arcs):
+                        f2 = arcs[j]
+                        g = sink_arc[head[f2]]
+                        if g >= 0 and cap[g] and cap[f2]:
+                            pushed = min(left, cap[f], cap[r], cap[f2], cap[g])
+                            left -= pushed
+                            cap[f] -= pushed
+                            cap[f ^ 1] += pushed
+                            cap[r] -= pushed
+                            cap[r ^ 1] += pushed
+                            cap[f2] -= pushed
+                            cap[f2 ^ 1] += pushed
+                            cap[g] -= pushed
+                            cap[g ^ 1] += pushed
+                            if not (left and cap[r] and cap[f]):
+                                break
+                        j += 1
+                    at[b2] = j
+                    if j < len(arcs) and cap[r]:  # b or its arc into x ran out
                         break
-                if not (left and cap[f]):
-                    break
+                i += 1
+            at[x] = i
             if not left:
                 break
         pushed = cap[e] - left

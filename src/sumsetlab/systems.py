@@ -185,7 +185,7 @@ class ActionSystem:
         if mask < 0 or mask >> self.states:
             raise ValueError("state bitmask does not fit the system")
         w = self.int_weights
-        return sum(map(w.__getitem__, bit_indices(mask)))
+        return sum(w[x] for x in bit_indices(mask))
 
     @cached_property
     def _ergodic(self) -> bool:
@@ -333,21 +333,6 @@ def measure_of(sys: ActionSystem, B: StateSubset) -> Fraction:
     return Fraction(sys.mass(B.mask), sys.denominator)
 
 
-def _indices(mask: int) -> list[int]:
-    """The set bits of a non-negative mask, ascending.  A mask of at most 64
-    bits is read here, low bit first, without entering ``bit_indices`` and its
-    generator; a wider one keeps ``bit_indices``' reads, the linear one for a
-    wide, dense mask included."""
-    if mask >> 64:
-        return list(bit_indices(mask))
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, int]:
     """The bitmask of A.{x} for every state x of B, in ascending order of x."""
     if A.group is not sys.group and A.group != sys.group:
@@ -362,12 +347,12 @@ def cover_masks(sys: ActionSystem, A: FiniteSet, B: StateSubset) -> dict[int, in
     n0 = sys.group.orders[0]
     if A.mask >> n0:
         plan = [(sys._steps(high * n0), [a % n0 for a in run])
-                for high, run in groupby(_indices(A.mask), lambda a: a // n0)]
+                for high, run in groupby(A, lambda a: a // n0)]
     else:
-        plan = [((), _indices(A.mask))]
+        plan = [((), list(bit_indices(A.mask)))]
     cycle0, place0 = sys.cycles[0]
     out = {}
-    for x in _indices(B.mask):
+    for x in bit_indices(B.mask):
         mask = 0
         for high, firsts in plan:
             y = x

@@ -853,3 +853,58 @@ def test_the_exchange_pass_on_folded_networks(supply, cost, covers, after_greedy
     assert flow == ref.max_flow(0, 1)
     assert {v for v in range(n) if level[v] >= 0} == ref.source_side(0)
     check_flow_certificate(adj, head, cap_in, cap, flow, level)
+
+
+
+class CountingCaps(list):
+    """Residual capacities that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, e):
+        self.reads += 1
+        return list.__getitem__(self, e)
+
+
+def counted_max_flow(max_flow, adj, head, cap):
+    """max_flow on cap, updated in place, and its capacity reads per arc."""
+    caps = CountingCaps(cap)
+    flow, level = max_flow(adj, head, caps)
+    cap[:] = caps
+    return flow, level, caps.reads / len(head)
+
+
+# Each network below costs a pass that walks arcs again on later visits about
+# 18 to 49 capacity reads per arc, and more as it grows; Dinic's phases alone
+# read about 2 to 5.  The exchange pass keeps each node's place in its arcs.
+
+def test_the_exchange_pass_keeps_its_place_among_feeders(monkeypatch):
+    # b in B = [0, 100) u {300} covers the interval [b, b + 100) of Z/496.  In
+    # the first cut every shared state is full after the greedy start, many
+    # candidates keep supply, and each full state has up to 100 feeders.
+    real, reads = magnification._max_flow, []
+
+    def counted(adj, head, cap):
+        flow, level, per_arc = counted_max_flow(real, adj, head, cap)
+        reads.append(per_arc)
+        return flow, level
+
+    monkeypatch.setattr(magnification, "_max_flow", counted)
+    group = make_group([496])
+    sysm = regular_system(group)
+    result = mag_ratio(sysm, finite_set(group, range(100)), state_subset(sysm, [*range(100), 300]))
+    assert result.value == Fraction(199, 100)
+    assert len(reads) == 2 and max(reads) < 8
+
+
+def test_the_exchange_pass_keeps_its_place_among_a_feeders_states():
+    # Candidate 2 fills states 0 to k - 1 and leaves state k, which comes last
+    # among its arcs, empty.  Candidate 3 + i wants state i alone, so each of
+    # the k exchanges moves a unit of 2's over to state k.
+    k = 300
+    n, arcs = folded([k] + [1] * k, [1] * k + [k], [list(range(k + 1))] + [[i] for i in range(k)])
+    adj, head, cap = paired_network(n, arcs)
+    cap_in = list(cap)
+    flow, level, per_arc = counted_max_flow(magnification._max_flow, adj, head, cap)
+    assert flow == 2 * k and per_arc < 8
+    check_flow_certificate(adj, head, cap_in, cap, flow, level)
