@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from sumsetlab import (disjoint_union, make_group, quotient_system, system_to_json, zdesc,
-                       zset_to_json)
+from sumsetlab import (check_prop13_increment, disjoint_union, finite_set, mag_ratio_delta,
+                       mag_ratio_oracle, make_group, quotient_system, regular_system,
+                       state_subset, system_to_json, zdesc, zset_to_json)
 from sumsetlab.cli import main
 from sumsetlab.verify import CampaignConfig, run_campaign
 
@@ -103,6 +105,50 @@ def test_small_seeded_campaign_reports_are_pinned():
     wrong = [seed for seed, digest in SMALL_CAMPAIGN_DIGESTS.items()
              if _sha256(run_campaign(CampaignConfig(seed=seed, instances=5)).to_json()) != digest]
     assert not wrong
+
+
+# sha256 of the newline-joined to_json outputs (keys sorted) of enum_outputs().
+ENUM_DIGEST = "ae1678f78afde7c526f2e259f9323239c0816a34d6bcf41ee73f7b75590a2324"
+
+
+def enum_outputs(count: int = 120) -> list[str]:
+    """Seeded oracle, delta and prop13 results with |B| from 14 to 18 on the
+    18-24-state regular, two-factor and union systems, past one enumeration
+    block from |B| = 15 on."""
+    systems = []
+    for n in range(18, 25):
+        group = make_group([n])
+        systems.append(regular_system(group))
+        split = next((d for d in range(2, n) if n % d == 0 and d * d >= n), None)
+        if split is not None:
+            systems.append(regular_system(make_group([split, n // split])))
+        if n % 2 == 0:
+            half = quotient_system(group, [n // 2])
+            systems.append(disjoint_union(half, half, Fraction(1, 3)))
+    rng = random.Random(1405)
+    lines = []
+    for i in range(count):
+        kind = ("oracle", "delta", "prop13")[i % 3]
+        m = 14 + (i // 3) % 5
+        sysm = rng.choice(systems)
+        A = finite_set(sysm.group, rng.sample(range(sysm.group.cardinality), rng.randint(3, 6)))
+        B = rng.sample(range(sysm.states), m)
+        delta = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+        if kind == "oracle":
+            result = mag_ratio_oracle(sysm, A, state_subset(sysm, B))
+        elif kind == "delta":
+            result = mag_ratio_delta(sysm, A, state_subset(sysm, B), delta)
+        else:
+            Bp = state_subset(sysm, rng.sample(B, rng.randint(1, m // 3)))
+            result = check_prop13_increment(sysm, A, state_subset(sysm, B), Bp, delta,
+                                            rng.choice((1, 2)))
+        lines.append(json.dumps(result.to_json(), sort_keys=True))
+    return lines
+
+
+def test_enumeration_outputs_are_pinned():
+    assert _sha256("\n".join(enum_outputs())) == ENUM_DIGEST
+
 
 def test_magratio_json_on_a_two_factor_regular_system(capsys):
     code = main(["magratio", "--group", "4,6", "--A", "1,3,13,19",

@@ -333,6 +333,18 @@ def differential_cases():
     B = state_subset(sysm, rng.sample(range(20), 17))
     yield sysm, finite_set(group, [0]), B
     yield sysm, finite_set(group, [0, 3, 7]), B
+    # Past one block on unequal weights: two halves of weight 1/3 and 2/3, so
+    # the covered states weigh 1 and 2 (in units of 1/D) and a mass table
+    # that reads a byte in the wrong place is seen, as it is not on a regular
+    # system.  Then the same with weights near 2^40, in Python ints.
+    group = make_group([24])
+    half = quotient_system(group, [12])
+    sysm = disjoint_union(half, half, Fraction(1, 3))
+    B = [0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 15, 17, 19, 20, 22, 23]
+    yield sysm, finite_set(group, [0, 1, 5]), state_subset(sysm, B)
+    sysm = reweighted(sysm, [(w << 40) + 1 for w in sysm.int_weights])
+    assert sum(sysm.int_weights) ** 2 >= 1 << 62
+    yield sysm, finite_set(group, [0, 1, 5]), state_subset(sysm, B)
 
 
 @pytest.mark.parametrize("delta", [None, Fraction(1, 4), Fraction(2, 3), Fraction(1)])
@@ -374,6 +386,14 @@ def test_oracle_reaches_the_guard():
     assert res.iterations == (1 << ORACLE_GUARD) - 1
     assert res.value == mag_ratio(sysm, A, B).value
     check_witness(sysm, A, B, res)
+
+
+def test_first_subset_within_on_an_empty_union():
+    # No candidate and no base cover: nothing is covered, and there is no
+    # non-empty selection to return.
+    sysm = regular_system(Z8)
+    assert first_subset_within(sysm, [], [], Fraction(1), 0, 1) is None
+    assert first_subset_within(sysm, [1], [1], Fraction(1), 0, 1) == 1
 
 
 def test_first_subset_within_matches_a_loop():
