@@ -53,14 +53,14 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _zdesc_from_args(args) -> "ZSetDesc":
-    if getattr(args, "desc", None):
+def _zdesc_from_args(args):
+    if args.desc:
         return zset_from_json(_read_json(args.desc))
-    if getattr(args, "period", None) is not None:
+    if args.period is not None:
         if args.pattern is None:
             raise ValueError("--period requires --pattern")
         return periodic(args.period, _parse_ints(args.pattern))
-    if getattr(args, "members", None) is not None:
+    if args.members is not None:
         return finite(_parse_ints(args.members))
     raise ValueError("describe the set with --desc FILE, --period/--pattern, or --members")
 
@@ -104,6 +104,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_magratio(args) -> int:
+    if args.oracle and args.delta is not None:
+        raise ValueError("--oracle checks the flow answer, and --delta has none to compare")
     if args.system:
         system = system_from_json(_read_json(args.system))
     elif args.group:
@@ -117,7 +119,7 @@ def cmd_magratio(args) -> int:
     else:
         result = mag_ratio(system, A, B)
     status = 0
-    if args.oracle and args.delta is None:
+    if args.oracle:
         brute = mag_ratio_oracle(system, A, B)
         if brute.value != result.value:
             print(f"MISMATCH: flow {frac_str(result.value)} != oracle {frac_str(brute.value)}")

@@ -48,11 +48,10 @@ start leaves: a candidate b with supply left reaches only full states, so
 for each full x it feeds, another candidate b2 that sends flow into x moves
 some of it over to a state x2 with room, and b takes its place in x
 (source -> b -> x -> b2 -> x2 -> sink).  These are the paths Dinic's first
-phase would look for, found without its breadth-first search; on the
-benchmark's flow cuts the pass took the phases per cut from 6.2 to 5.2
-(counting the last search, which finds no path).  The pass only fills
-states, so each state keeps its place among its feeders and each feeder
-its place among its states, and the pass costs the arcs plus the pushes.
+phase would look for, found without its breadth-first search, so fewer
+phases are left to run.  The pass only fills states, so each state keeps
+its place among its feeders and each feeder its place among its states,
+and the pass costs the arcs plus the pushes.
 What is left goes to Dinic's algorithm with an iterative blocking-flow
 search.
 Each phase labels nodes by their residual distance to the sink, by a
@@ -88,11 +87,11 @@ covered states X, stored as ceil(|X|/64) uint64 words per mask, and builds
 the cover and weight of every subset by doubling over the m candidates:
 cover[h:2h] = cover[:h] | A.{b_j} and wsum[h:2h] = wsum[:h] + W(b_j).  The
 covered mass of a cover is a sum of lookups in one 256-entry table per
-byte, each gathered with np.take: fancy indexing through the strided byte
-view took 2.1 times as long per block of 2^14 covers.  A low table over
-the first min(m, 14) candidates is OR-ed with each subset of the others in
-turn, so no table holds more than 2^14 covers (128 KiB per 64 covered
-states) and m = 24 takes 1024 blocks.  128 KiB is glibc's default mmap
+byte, each gathered with np.take, which is faster than fancy indexing
+through the strided byte view.  A low table over the first min(m, 14)
+candidates is OR-ed with each subset of the others in turn, so no table
+holds more than 2^14 covers (128 KiB per 64 covered states) and m = 24
+takes 1024 blocks.  128 KiB is glibc's default mmap
 threshold: larger tables, freed and allocated again on every call, come
 back as fresh pages whenever the heap holds no free chunk that large,
 which the memory layout left by the imports decides, so their cost would
@@ -479,7 +478,7 @@ def _subset_blocks(
     sum weights[i].  Yields (first, mass, wsum) in ascending order of first,
     where mass[r] and wsum[r] belong to subset first + r.  The mass is one
     np.take per byte of the cover words from that byte's 256-entry table,
-    2.1 times as fast as fancy indexing the strided byte view.  Entries are
+    faster than fancy indexing the strided byte view.  Entries are
     int64 when ``limit``, a bound on every product the caller forms from
     them, is below 2^62, and Python ints in object arrays otherwise.
     """

@@ -23,11 +23,11 @@ with the adjacent tail, so equal descriptors compare equal as dataclasses.
 
 Tails are residue bitmasks (bit r of ``Tail.mask`` stands for residue r);
 residue lists are only the (period, pattern) pairs of ``zdesc``, ``periodic``
-and the JSON forms.  Sumsets reuse the finite-group bitmasks: tails lift to
-residue masks on Z/P, whose sumsets are ``groups.sumset``, and the head
-window is one shift-OR of the operands cut to ranges that every witness
-slides into by P (see ``zsumset``).  ``MAX_SUMSET_SPAN`` bounds the cuts and
-``MAX_SUMSET_WORK`` the shift-OR.
+and the JSON forms.  A sumset is one shift-OR of the operands cut to ranges
+that every witness slides into by P, the lcm of the tail periods; the window
+it yields holds one period of the result's left tail, the core that becomes
+the head, and one period of its right tail, in that order (see ``zsumset``).
+``MAX_SUMSET_SPAN`` bounds the cuts and ``MAX_SUMSET_WORK`` the shift-OR.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .groups import (FiniteSet, _k_fold, bit_indices, collection, exact_int, index_mask,
-                     make_group, sumset)
+from .groups import _k_fold, bit_indices, collection, exact_int, index_mask
 
 __all__ = [
     "MAX_TAIL_PERIOD",
@@ -322,13 +321,17 @@ def _indicator(S: ZSetDesc, lo: int, length: int) -> int:
 def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
     """The exact sumset A + B of two eventually periodic sets.
 
-    Tail periods of the result divide the lcm P of the input tail periods,
-    and its tail patterns are sumsets on Z/P of the tails' residue masks.
-    A witness a + b = x of a point of the head window [A.lo + B.lo - 2P,
-    A.hi + B.hi + 2P) slides by P (tail memberships are P-periodic) until a
-    lies in [A.lo - 3P - w_B, A.hi + 3P + w_B) and b in the like range around
-    B, w_A and w_B being the head widths; so the window is read off one
-    shift-OR of the operands cut to those ranges.  ``MAX_SUMSET_SPAN`` bounds
+    Tail periods of the result divide the lcm P of the input tail periods.
+    A witness a + b = x of a point of the window [A.lo + B.lo - 2P,
+    A.hi + B.hi + 2P) slides by P until a lies in [A.lo - 3P - w_B,
+    A.hi + 3P + w_B) and b in the like range around B, w_A and w_B being the
+    head widths, so one shift-OR of the operands cut to those ranges gives
+    the window.  A + B is P-periodic below A.lo + B.lo - P: a witness of
+    y < A.lo + B.lo - 2P has a < A.lo - P or b < B.lo - P and one of y + P
+    has a < A.lo or b < B.lo, so each slides by P inside a left tail; the
+    mirror argument makes it P-periodic from A.hi + B.hi + P - 1 on.  So the
+    window's first and last P points are one period of each result tail, and
+    the core between them is all ``zdesc`` needs.  ``MAX_SUMSET_SPAN`` bounds
     the longer cut before any mask is built, ``MAX_SUMSET_WORK`` the shift-OR:
     the longer cut times the set bits of the sparser one.
     """
@@ -355,19 +358,10 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
         total |= dense << i
     lo, hi = A.lo + B.lo - 2 * P, A.hi + B.hi + 2 * P
     window = (total >> (lo - a_lo - b_lo)) & ((1 << (hi - lo)) - 1)
-
-    g = make_group([P])
-
-    def cyclic_sum(u: int, v: int) -> int:
-        return sumset(FiniteSet(g, u), FiniteSet(g, v)).mask if u and v else 0
-
-    ra, la = _tail_mask(A.right, 0, P), _tail_mask(A.left, 0, P)
-    rb, lb = _tail_mask(B.right, 0, P), _tail_mask(B.left, 0, P)
-    all_a = ra | la | sum(1 << r for r in {h % P for h in A.head})
-    all_b = rb | lb | sum(1 << r for r in {h % P for h in B.head})
-    right_pat = cyclic_sum(ra, all_b) | cyclic_sum(all_a, rb)
-    left_pat = cyclic_sum(la, all_b) | cyclic_sum(all_a, lb)
-    return zdesc((lo + i for i in bit_indices(window)), lo, hi,
+    left_pat = _rotate(window & ((1 << P) - 1), P, lo)
+    right_pat = _rotate(window >> (hi - lo - P), P, hi - P)
+    core = (window >> P) & ((1 << (hi - lo - 2 * P)) - 1)
+    return zdesc((lo + P + i for i in bit_indices(core)), lo + P, hi - P,
                  Tail(P, left_pat), Tail(P, right_pat))
 
 

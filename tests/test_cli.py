@@ -154,6 +154,15 @@ def test_magratio_delta(capsys):
     assert out.startswith("2/1, witness [0, 4], method enumeration")
 
 
+def test_magratio_refuses_the_oracle_with_delta(capsys):
+    # The delta route enumerates; there is no flow answer for the oracle to check.
+    code, out, err = run(capsys, "magratio", "--group", "8", "--A", "0,1",
+                         "--B", "0,4", "--delta", "1/2", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --oracle") and "--delta" in err
+
+
 def test_magratio_system_file(capsys, tmp_path):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(system_to_json(quotient_system(make_group([8]), [4]))))

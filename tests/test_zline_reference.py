@@ -134,6 +134,16 @@ def _ref_zsumset(A, B):
                  (P, right_pat) if right_pat else None)
 
 
+def _assert_matches_the_scan(A, B):
+    """zsumset(A, B) equals the scan's result, and a non-empty head window of
+    it lies inside [A.lo + B.lo - P, A.hi + B.hi + P), the core that
+    zsumset hands to zdesc."""
+    C = zsumset(A, B)
+    assert C == _ref_zsumset(A, B)
+    P = math.lcm(*(t.period for t in (A.left, A.right, B.left, B.right) if t is not None))
+    assert C.lo == C.hi or A.lo + B.lo - P <= C.lo and C.hi <= A.hi + B.hi + P
+
+
 def _line_desc(rng: random.Random, left: int | None, right: int | None, dense: bool):
     """A head 8-40 wide with tails of a sixth (sparse) or half (dense) of their residues."""
     width = rng.randint(8, 40)
@@ -162,7 +172,7 @@ def _line_pairs(count: int):
 
 @pytest.mark.parametrize("A, B", list(_line_pairs(20)))
 def test_zsumset_matches_the_scan_on_line_shaped_inputs(A, B):
-    assert zsumset(A, B) == _ref_zsumset(A, B)
+    _assert_matches_the_scan(A, B)
 
 
 def test_zsumset_matches_the_scan_on_one_sided_and_tailless_operands():
@@ -173,13 +183,17 @@ def test_zsumset_matches_the_scan_on_one_sided_and_tailless_operands():
             for _ in range(6):
                 A = _line_desc(rng, left_a, right_a, dense=True)
                 B = _line_desc(rng, left_b, right_b, dense=False)
-                assert zsumset(A, B) == _ref_zsumset(A, B)
-                assert zsumset(shift(B, 1000), A) == _ref_zsumset(shift(B, 1000), A)
+                _assert_matches_the_scan(A, B)
+                _assert_matches_the_scan(shift(B, 1000), A)
     nonneg = zdesc((), 0, 0, None, (1, [0]))
     evens_below = zdesc((), 0, 0, (2, [0]), None)
+    # {6, 12, ...} + itself has 12 but not 6 = A.hi + B.hi + P - 2, so it is
+    # periodic from A.hi + B.hi + P - 1 and no earlier: a right period read
+    # from any earlier point is wrong.
+    sixes = zdesc((), 0, 1, None, (6, [0]))
     for A, B in [(nonneg, finite([0, 500])), (evens_below, finite([-3, 0, 401])),
-                 (nonneg, evens_below), (periodic(6, [1, 4]), finite([0]))]:
-        assert zsumset(A, B) == _ref_zsumset(A, B)
+                 (nonneg, evens_below), (periodic(6, [1, 4]), finite([0])), (sixes, sixes)]:
+        _assert_matches_the_scan(A, B)
 
 
 def test_zsumset_matches_the_scan_on_its_slowest_admitted_inputs():
@@ -190,10 +204,10 @@ def test_zsumset_matches_the_scan_on_its_slowest_admitted_inputs():
 
     A = zdesc(rng.sample(range(40), 20), 0, 40, half(), half())
     B = zdesc(rng.sample(range(40), 20), 0, 40, half(), half())
-    assert zsumset(A, B) == _ref_zsumset(A, B)
+    _assert_matches_the_scan(A, B)
     evens = finite(range(0, 5790, 2))
     assert len(evens.head) == 2895
-    assert zsumset(evens, evens) == _ref_zsumset(evens, evens)
+    _assert_matches_the_scan(evens, evens)
 
 
 def test_reduce_tail_matches_the_rotation_search():
