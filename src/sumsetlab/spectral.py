@@ -127,7 +127,7 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
     certificate.
     """
     window = exact_int(window, "window")
-    # One expression, so the member set is freed before the outer product.
+    # One expression, so the member set is freed before the frequency rows.
     arr = np.asarray(sorted({exact_int(a, "window member")
                              for a in collection(A, "window set")}), dtype=float)
     if arr.size == 0:
@@ -139,7 +139,8 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
         raise ValueError("frequency grid must be non-empty")
     if np.any(freqs <= 0) or np.any(freqs >= 1):
         raise ValueError("frequencies must lie strictly between 0 and 1")
-    sums = np.exp(2j * np.pi * np.outer(freqs, arr)).sum(axis=1)
+    # One frequency row at a time, so memory stays at one row of the members.
+    sums = [np.exp(2j * np.pi * (f * arr)).sum() for f in freqs]
     return float(np.abs(sums).max() / arr.size)
 
 

@@ -26,8 +26,10 @@ residue lists are only the (period, pattern) pairs of ``zdesc``, ``periodic``
 and the JSON forms.  A sumset is one shift-OR of the operands cut to ranges
 that every witness slides into by P, the lcm of the tail periods; the window
 it yields holds one period of the result's left tail, the core that becomes
-the head, and one period of its right tail, in that order (see ``zsumset``).
-``MAX_SUMSET_SPAN`` bounds the cuts and ``MAX_SUMSET_WORK`` the shift-OR.
+the head, and one period of its right tail, in that order.  The core is
+trimmed against both tails on masks, so ``zdesc`` is handed the head's own
+members only (see ``zsumset``).  ``MAX_SUMSET_SPAN`` bounds the cuts and
+``MAX_SUMSET_WORK`` the shift-OR.
 """
 
 from __future__ import annotations
@@ -331,9 +333,14 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
     has a < A.lo or b < B.lo, so each slides by P inside a left tail; the
     mirror argument makes it P-periodic from A.hi + B.hi + P - 1 on.  So the
     window's first and last P points are one period of each result tail, and
-    the core between them is all ``zdesc`` needs.  ``MAX_SUMSET_SPAN`` bounds
-    the longer cut before any mask is built, ``MAX_SUMSET_WORK`` the shift-OR:
-    the longer cut times the set bits of the sparser one.
+    the core between them is all ``zdesc`` needs.  The core is trimmed on masks
+    before any member is built: its top to just past the highest point that
+    differs from the right tail, then its bottom to the lowest point below that
+    which differs from the left tail (none: the head is empty).  These are the
+    bounds ``zdesc``'s loops reach, so each loop stops at its first test and
+    only the head's own members are built.  ``MAX_SUMSET_SPAN`` bounds the
+    longer cut before any mask is built, ``MAX_SUMSET_WORK`` the shift-OR: the
+    longer cut times the set bits of the sparser one.
     """
     if is_empty(A) or is_empty(B):
         raise ValueError("zsumset operands must be non-empty")
@@ -358,11 +365,17 @@ def zsumset(A: ZSetDesc, B: ZSetDesc) -> ZSetDesc:
         total |= dense << i
     lo, hi = A.lo + B.lo - 2 * P, A.hi + B.hi + 2 * P
     window = (total >> (lo - a_lo - b_lo)) & ((1 << (hi - lo)) - 1)
-    left_pat = _rotate(window & ((1 << P) - 1), P, lo)
-    right_pat = _rotate(window >> (hi - lo - P), P, hi - P)
-    core = (window >> P) & ((1 << (hi - lo - 2 * P)) - 1)
-    return zdesc((lo + P + i for i in bit_indices(core)), lo + P, hi - P,
-                 Tail(P, left_pat), Tail(P, right_pat))
+    left = Tail(P, _rotate(window & ((1 << P) - 1), P, lo))
+    right = Tail(P, _rotate(window >> (hi - lo - P), P, hi - P))
+    lo, n = lo + P, hi - lo - 2 * P
+    core = (window >> P) & ((1 << n) - 1)
+    # Trim the core as zdesc's loops would, the top first (see the docstring).
+    n = (core ^ _tail_mask(right, lo, n)).bit_length()
+    core &= (1 << n) - 1
+    low = core ^ _tail_mask(left, lo, n)
+    start = (low & -low).bit_length() - 1 if low else n
+    return zdesc((lo + start + i for i in bit_indices(core >> start)), lo + start, lo + n,
+                 left, right)
 
 
 def zsumset_iterated(A: ZSetDesc, k: int) -> ZSetDesc:

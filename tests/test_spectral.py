@@ -7,6 +7,7 @@ that are exact in theory.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ def test_weyl_validation():
         weyl_defect_window([0, 1], 8, [0.0])
     with pytest.raises(ValueError, match="non-empty"):
         weyl_defect_window([0, 1], 8, [])
+
+
+def test_weyl_rows_equal_the_matrix_form_bit_for_bit():
+    # The frequency-by-member matrix, summed along its rows, as the transform
+    # once computed it; the per-row loop must give the same float.
+    rng = random.Random(2026)
+    for case in range(40):
+        window = rng.randint(1, 10**6)
+        if case % 4 == 0:
+            members = floor_three_halves(window)
+        else:
+            members = rng.sample(range(window), rng.randint(1, min(window, 3000)))
+        freqs = [rng.randint(1, 10**6 - 1) / 10**6 for _ in range(rng.randint(1, 12))]
+        arr = np.asarray(sorted(set(members)), dtype=float)
+        sums = np.exp(2j * np.pi * np.outer(np.asarray(freqs, dtype=float), arr)).sum(axis=1)
+        assert weyl_defect_window(members, window, freqs) == float(np.abs(sums).max() / arr.size)
 
 
 def test_power_sequence_defect_decays_with_window():

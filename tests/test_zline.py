@@ -325,3 +325,29 @@ def test_integer_line_outputs_are_pinned():
             digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == \
         "1e17f7a27edaf29797f5571c74a3b9d1411c57ab5e6b45f77e384e48e6f05182"
+
+
+def test_zsumset_trims_the_core_before_zdesc_tests_a_point(monkeypatch):
+    # zdesc's shrink loops and its empty-head slide test one point per _has
+    # call.  zsumset trims its core (about 4,000 points at P = 2000) against
+    # both tails on masks first, so each loop stops at its first test: a few
+    # calls per sumset, however wide the core.
+    calls = 0
+    has = zline._has
+
+    def counting(tail, n):
+        nonlocal calls
+        calls += 1
+        return has(tail, n)
+
+    rng = random.Random(29)
+    pairs = [(_line_draw(rng, 2000, 1000), _line_draw(rng, 400, 2000)) for _ in range(5)]
+    # An empty result head with unequal tails: the trim's empty branch, then the slide.
+    halves = [(2000, rng.sample(range(2000), 1000)) for _ in range(2)]
+    pairs.append((zdesc((), 0, 0, *halves), finite([0])))
+    monkeypatch.setattr(zline, "_has", counting)
+    for A, B in pairs:
+        calls = 0
+        C = zsumset(A, B)
+        assert calls <= 4, (calls, C.lo, C.hi)
+    assert C.lo == C.hi and C.left != C.right

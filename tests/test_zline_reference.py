@@ -210,6 +210,58 @@ def test_zsumset_matches_the_scan_on_its_slowest_admitted_inputs():
     _assert_matches_the_scan(evens, evens)
 
 
+
+def _core(A, B):
+    """zsumset(A, B), the first point of the core [A.lo + B.lo - P,
+    A.hi + B.hi + P) that zsumset trims, and the result's memberships on it."""
+    P = math.lcm(*(t.period for t in (A.left, A.right, B.left, B.right) if t is not None))
+    C = zsumset(A, B)
+    start = A.lo + B.lo - P
+    return C, start, [zcontains(C, x) for x in range(start, A.hi + B.hi + P)]
+
+
+def _tail_row(tail, start: int, length: int) -> list[bool]:
+    return [tail is not None and (start + i) % tail.period in tail.pattern
+            for i in range(length)]
+
+
+def test_zsumset_matches_the_scan_at_the_edges_of_its_trim():
+    # An empty head with unequal tails: the trim leaves no point and zdesc
+    # slides down to the first point where the tails disagree.
+    A, B = zdesc([-1], -1, 1, None, (6, [0])), zdesc((), 0, 0, (4, [3]), None)
+    C, _, _ = _core(A, B)
+    assert C.lo == C.hi and C.left != C.right
+    _assert_matches_the_scan(A, B)
+    # A core that matches the result's right tail everywhere (the head slides
+    # below the core) and one that matches its left tail everywhere.
+    for A, B, same, other in [(zdesc([2], 2, 3, (6, [1, 5]), (6, [1, 3])),
+                               zdesc((), -3, -3, (6, [2, 3, 4]), None), "right", "left"),
+                              (zdesc((), 3, 4, (4, [0, 2, 3]), (1, [0])),
+                               zdesc((), -1, -1, None, (4, [2])), "left", "right")]:
+        C, start, core = _core(A, B)
+        assert C.lo == C.hi and C.left != C.right
+        assert core == _tail_row(getattr(C, same), start, len(core))
+        assert core != _tail_row(getattr(C, other), start, len(core))
+        _assert_matches_the_scan(A, B)
+    # Heads at the ends of the core [s, e).  A + B is P-periodic below s and a
+    # member s has s - P as a member, so s differs from the left tail only as a
+    # non-member with s - P a member.  Then s + P is no member either (a witness
+    # of it slides down to one of s), so s agrees with the right tail and no
+    # one-point head sits on s; the mirror argument rules one out on e - 2, and
+    # e - 1 always agrees with the right tail.  So the cases below are a head
+    # from s, a head up to e - 2, and one-point heads on s + 1 and e - 3, as
+    # (C.lo - s, e - C.hi, head width):
+    for A, B, edges in [
+            (zdesc((), 0, 0, (3, [0, 2]), None), zdesc((), -2, -2, (3, [0, 1]), None), (0, 4, 2)),
+            (zdesc((), -1, -1, None, (4, [1, 2, 3])), zdesc((), 0, 0, None, (2, [1])), (5, 1, 2)),
+            (zdesc([5], 5, 6, (2, [0]), (3, [1])), zdesc((), 2, 2, (3, [2]), (2, [1])), (1, 11, 1)),
+            (zdesc((), 1, 1, (6, [1, 4, 5]), (2, [0])), zdesc((), 2, 2, (2, [1]), (3, [0])),
+             (9, 2, 1))]:
+        C, start, core = _core(A, B)
+        assert (C.lo - start, start + len(core) - C.hi, C.hi - C.lo) == edges
+        _assert_matches_the_scan(A, B)
+
+
 def test_reduce_tail_matches_the_rotation_search():
     rng = random.Random(11)
     for _ in range(300):
