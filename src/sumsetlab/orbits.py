@@ -15,7 +15,8 @@ the shift acting by g . x = x - g, a configuration at phase s of the orbit
 of a periodic pattern lies in B exactly when s is in the pattern, and the
 pushforward of B under a finite acting set A lands on the phases pattern +
 A, which is what the verification routine compares against exact sumset
-densities on the line.
+densities on the line.  Each orbit starts at its tail's own mask, as no
+rotation moves the uniform measure.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Iterable
 
 from .groups import collection, exact_int, finite_set, frac_str, make_group
 from .systems import ActionSystem, StateSubset, apply_set, measure_of, regular_system
-from .zline import (ZSetDesc, Tail, _rotate, banach_lower, banach_upper, finite, shift, zcontains,
-                    zsumset)
+from .zline import ZSetDesc, Tail, banach_lower, banach_upper, finite, shift, zcontains, zsumset
 
 __all__ = [
     "LimitOrbit",
@@ -47,7 +47,7 @@ class LimitOrbit:
     side: str  # "left", "right" or "both"
     period: int
     system: ActionSystem
-    b_set: StateSubset  # the canonical rotation of the tail's residue mask
+    b_set: StateSubset  # the tail's own residue mask: phase s is in B when s is a residue
 
     @property
     def b_measure(self) -> Fraction:
@@ -112,36 +112,29 @@ class CorrespondenceReport:
         }
 
 
-def _canonical_rotation(period: int, mask: int) -> int:
-    """The rotation of a residue mask whose sorted residues are lexicographically least.
-
-    Between two rotations that one wins whose lowest differing residue it
-    holds: with the mask's bits written residue 0 first, it is the rotation
-    that starts the largest window of period bits in that string written twice.
-    """
-    bits = f"{mask:0{period}b}"[::-1] * 2
-    start = max(range(period), key=lambda i: bits[i:i + period])
-    return _rotate(mask, period, -start)
+def _period(tail: Tail | None) -> int:
+    return 1 if tail is None else tail.period
 
 
 def _limit_orbit(side: str, tail: Tail | None) -> LimitOrbit:
     # Tails arrive minimal-period reduced from the descriptor normal form.
-    period = 1 if tail is None else tail.period
-    mask = 0 if tail is None else _canonical_rotation(period, tail.mask)
+    period = _period(tail)
     system = regular_system(make_group([period]))
-    return LimitOrbit(side, period, system, StateSubset(system, mask))
+    return LimitOrbit(side, period, system, StateSubset(system, 0 if tail is None else tail.mask))
 
 
 def orbit_closure(S: ZSetDesc) -> OrbitSystem:
     """Materialize the periodic limit orbits of the shift orbit closure of S.
 
-    A set with both tails absent has only the empty configuration in its
-    limit set; the result is flagged degenerate rather than rejected.
+    The sides are one "both" orbit when one tail's mask is a rotation of the
+    other's.  A set with both tails absent has only the empty configuration
+    in its limit set; the result is flagged degenerate rather than rejected.
     """
     left = _limit_orbit("left", S.left)
     right = _limit_orbit("right", S.right)
-    if (left.period, left.b_set.mask) == (right.period, right.b_set.mask):
-        orbits = (LimitOrbit("both", left.period, left.system, left.b_set),)
+    p = left.period
+    if p == right.period and f"{left.b_set.mask:0{p}b}" in f"{right.b_set.mask:0{p}b}" * 2:
+        orbits = (LimitOrbit("both", p, left.system, left.b_set),)
     else:
         orbits = (left, right)
     degenerate = S.left is None and S.right is None
@@ -178,10 +171,6 @@ def recovery_window_ok(orb: OrbitSystem, lo: int, hi: int) -> bool:
         raise ValueError(f"window [{lo}, {hi}) needs {work} units of work, "
                          f"more than the limit {MAX_RECOVERY_WORK}")
     return all(orb.b_xo_contains(g) == zcontains(S, g) for g in chain(*points))
-
-
-def _period(tail: Tail | None) -> int:
-    return 1 if tail is None else tail.period
 
 
 def verify_correspondence(S: ZSetDesc, A: Iterable[int]) -> CorrespondenceReport:

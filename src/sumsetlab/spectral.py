@@ -108,11 +108,10 @@ def equidist_defect(A: FiniteSet, include_magnitudes: bool = False) -> EquidistR
         indicator[a] = 1.0
     transform = group_dft(group, indicator)
     mags = np.abs(transform) / A.size
-    if group.cardinality == 1:
-        return EquidistReport(0.0, 0, A.size, tuple(mags) if include_magnitudes else None)
-    worst = 1 + int(np.argmax(mags[1:]))
+    # The trivial group has no non-trivial character; its defect is 0.
+    worst = 1 + int(np.argmax(mags[1:])) if group.cardinality > 1 else 0
     return EquidistReport(
-        float(mags[worst]),
+        float(mags[worst]) if worst else 0.0,
         worst,
         A.size,
         tuple(float(m) for m in mags) if include_magnitudes else None,
@@ -127,21 +126,23 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
     certificate.
     """
     window = exact_int(window, "window")
-    # One expression, so the member set is freed before the frequency rows.
-    arr = np.asarray(sorted({exact_int(a, "window member")
-                             for a in collection(A, "window set")}), dtype=float)
-    if arr.size == 0:
+    members = sorted({exact_int(a, "window member") for a in collection(A, "window set")})
+    if not members:
         raise ValueError("Weyl defect of the empty set is undefined")
-    if arr.min() < 0 or arr.max() >= window:
+    if members[0] < 0 or members[-1] >= window:
         raise ValueError(f"set members must lie in [0, {window})")
-    freqs = np.asarray(list(collection(frequencies, "frequencies")), dtype=float)
+    try:  # members is rebound, so the list is freed before the frequency rows
+        members = np.asarray(members, dtype=float)
+        freqs = np.asarray(list(collection(frequencies, "frequencies")), dtype=float)
+    except OverflowError:
+        raise ValueError("members and frequencies must be below 2**1024 in size") from None
     if freqs.size == 0:
         raise ValueError("frequency grid must be non-empty")
     if np.any(freqs <= 0) or np.any(freqs >= 1):
         raise ValueError("frequencies must lie strictly between 0 and 1")
     # One frequency row at a time, so memory stays at one row of the members.
-    sums = [np.exp(2j * np.pi * (f * arr)).sum() for f in freqs]
-    return float(np.abs(sums).max() / arr.size)
+    sums = [np.exp(2j * np.pi * (f * members)).sum() for f in freqs]
+    return float(np.abs(sums).max() / members.size)
 
 
 # The set below limit has about limit^(2/3) members, one Python step each.
@@ -149,7 +150,10 @@ MAX_THREE_HALVES_LIMIT = 10**9
 
 
 def floor_three_halves(limit: int) -> list[int]:
-    """The set {floor(n^(3/2)) : n >= 1} ∩ [0, limit), computed exactly."""
+    """The set {floor(n^(3/2)) : n >= 1} ∩ [0, limit), computed exactly.
+
+    Ascending with no sort, since (n+1)^(3/2) - n^(3/2) >= 1.5 for n >= 1.
+    """
     limit = exact_int(limit, "limit")
     if limit > MAX_THREE_HALVES_LIMIT:
         raise ValueError(f"limit {limit} exceeds {MAX_THREE_HALVES_LIMIT}")
@@ -158,6 +162,6 @@ def floor_three_halves(limit: int) -> list[int]:
     while True:
         v = math.isqrt(n * n * n)
         if v >= limit:
-            return sorted(set(out))
+            return out
         out.append(v)
         n += 1

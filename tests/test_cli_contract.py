@@ -179,6 +179,21 @@ def test_cli_ends_in_an_exit_code_never_a_traceback(case):
         assert "error:" in err.getvalue()
 
 
+HUGE = "1" + "0" * 400  # beyond any float
+
+
+@pytest.mark.parametrize("argv", [
+    ["equidist", "--window", "10", "--A", "1,2", "--freqs", f"{HUGE}/3"],
+    ["equidist", "--window", "10", "--A", "1,2", f"--freqs=-{HUGE}/3"],
+    ["equidist", "--window", f"{HUGE}0", "--A", HUGE],
+])
+def test_spectral_input_no_float_holds_exits_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert "error:" in err.getvalue()
+
+
 def test_the_alarm_interrupts_a_hang():
     with pytest.raises(ExampleTimeout, match="ran past 1 s"):
         with alarm(1, "the loop"):

@@ -287,6 +287,25 @@ def test_every_collection_argument_refuses_scalars_strings_and_mappings(name, va
         assert outcome(call, value) == "ValueError", (name, value)
 
 
+HUGE = 10**400  # beyond any float
+
+
+@pytest.mark.parametrize("members, window, frequencies", [
+    ([HUGE], 10 * HUGE, [0.5]),
+    ([2**1024], 2**1025, [0.5]),
+    ([0], 10, [HUGE]),
+    ([0], 10, [-HUGE]),
+    ([0], 10, [Fraction(HUGE, 3)]),
+])
+def test_weyl_defect_window_refuses_what_no_float_holds(members, window, frequencies):
+    with pytest.raises(ValueError):
+        weyl_defect_window(members, window, frequencies)
+
+
+def test_weyl_defect_window_reads_members_below_a_window_no_float_holds():
+    assert weyl_defect_window([1], 10 * HUGE, [0.5]) == 1.0
+
+
 @pytest.mark.parametrize("lo, hi, head, left, right", [
     (0, -1, frozenset(), None, None),  # an inverted window
     (0, 3, frozenset({3}), None, None),  # a member at hi

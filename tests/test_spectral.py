@@ -186,6 +186,13 @@ def test_defect_json_carries_the_magnitudes_when_asked():
     assert all(type(m) is float for m in data["magnitudes"])
 
 
+def test_defect_of_the_trivial_group_is_zero_in_python_floats():
+    report = equidist_defect(finite_set(make_group([1]), [0]), include_magnitudes=True)
+    assert (report.defect, report.worst_character, report.set_size) == (0.0, 0, 1)
+    assert report.magnitudes == (1.0,)
+    assert all(type(v) is float for v in (report.defect, *report.magnitudes))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_defect_bounds_and_translation_invariance(data):
@@ -271,6 +278,10 @@ def test_floor_three_halves_prefix():
     values = floor_three_halves(10**4)
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values == sorted(math.isqrt(n**3) for n in range(1, len(values) + 1))
+    for window in (10**6, 2 * 10**6, 4 * 10**6):
+        # floor(n^(3/2)) < window needs n < window^(2/3); the range reaches past it.
+        floors = (math.isqrt(n**3) for n in range(1, round(window ** (2 / 3)) + 3))
+        assert floor_three_halves(window) == sorted({v for v in floors if v < window})
 
 
 def test_floor_three_halves_limit_is_bounded():

@@ -5,23 +5,21 @@ apart from their names and from reading each tail's residues as
 ``set(tail.pattern)``, since a tail is a residue bitmask: a per-point witness
 scan over the head window with residue sums for the tails, a set-rotation
 search for the minimal period, and a sort of every rotation for the canonical
-orbit pattern.  Masks are compared through ``_mask``.  Each test requires
+orbit pattern, whose agreement on the two tails decides when they share one
+limit orbit.  Masks are compared through ``_mask``.  Each test requires
 equal results, so the descriptors, reports and digests built on them cannot
 drift.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 import random
 
 import pytest
 
-from sumsetlab import finite, is_empty, periodic, shift, zcontains, zdesc, zsumset
+from sumsetlab import finite, is_empty, orbit_closure, periodic, shift, zcontains, zdesc, zsumset
 from sumsetlab.zline import MAX_TAIL_PERIOD, Tail, _reduce_tail
-
-_canonical_rotation = importlib.import_module("sumsetlab.orbits")._canonical_rotation
 
 # The scan's own bound on window points times witnesses tried per point.
 MAX_SUMSET_WORK = 1 << 26
@@ -275,18 +273,47 @@ def test_reduce_tail_matches_the_rotation_search():
         assert _reduce_tail(tail) == _ref_reduce_tail(tail)
 
 
-def test_canonical_rotation_matches_the_sorted_search():
-    rng = random.Random(13)
-    for _ in range(400):
+def _tail_pairs(rng):
+    """(left, right) tail pairs: rotated, unrotated, lifted, unrelated and absent."""
+    for _ in range(300):
         p = rng.choice([1, 2, 3, 5, 8, 12, 30, 97, 128, 300])
-        pattern = frozenset(rng.sample(range(p), rng.randint(0, p)))
+        pattern = rng.sample(range(p), rng.randint(0, p))
         if rng.random() < 0.3:
             d = rng.choice([d for d in range(1, p + 1) if p % d == 0])
             base = rng.sample(range(d), rng.randint(0, d))
-            pattern = frozenset(b + j * d for b in base for j in range(p // d))
-        assert _canonical_rotation(p, _mask(pattern)) == \
-            _mask(_ref_canonical_rotation(p, pattern))
+            pattern = [b + j * d for b in base for j in range(p // d)]
+        s = rng.randrange(p)
+        rotated = [(r + s) % p for r in pattern]
+        other = rng.choice([
+            (p, rotated),
+            (p, pattern),
+            (2 * p, [r + j * p for r in rotated for j in (0, 1)]),  # reduces to (p, rotated)
+            (p, rng.sample(range(p), rng.randint(0, p))),
+            (2 * p, rotated),
+            None,
+        ])
+        pair = ((p, pattern), other)
+        yield pair if rng.random() < 0.5 else pair[::-1]
     for p, size in [(2048, 1024), (4096, 64), (4096, 4)]:
-        pattern = frozenset(rng.sample(range(p), size))
-        assert _canonical_rotation(p, _mask(pattern)) == \
-            _mask(_ref_canonical_rotation(p, pattern))
+        pattern = rng.sample(range(p), size)
+        s = rng.randrange(p)
+        yield (p, pattern), (p, [(r + s) % p for r in pattern])
+        yield (p, pattern), (p, pattern)
+        yield (p, pattern), (p, rng.sample(range(p), size))
+    yield None, None
+
+
+def test_orbit_closure_merges_exactly_when_the_sorted_search_agrees():
+    rng = random.Random(13)
+    for left, right in _tail_pairs(rng):
+        S = zdesc([], 0, 0, left, right)
+        # Absent tails read as the empty pattern over period 1.
+        tails = [(1, frozenset()) if t is None else (t.period, frozenset(t.pattern))
+                 for t in (S.left, S.right)]
+        (pl, left_pattern), (pr, right_pattern) = tails
+        merged = pl == pr and \
+            _ref_canonical_rotation(pl, left_pattern) == _ref_canonical_rotation(pr, right_pattern)
+        orbits = orbit_closure(S).orbits
+        assert [o.side for o in orbits] == (["both"] if merged else ["left", "right"])
+        for orb, (p, pattern) in zip(orbits, tails):
+            assert (orb.period, orb.b_set.mask) == (p, _mask(pattern))
