@@ -184,10 +184,7 @@ def cmd_equidist(args) -> int:
             members = _parse_ints(args.A)
         else:
             raise ValueError("window mode needs --A or --three-halves")
-        freqs = [parse_fraction(part) for part in args.freqs.split(",")]
-        if not all(0 < f < 1 for f in freqs):
-            raise ValueError("frequencies must lie strictly between 0 and 1")
-        value = weyl_defect_window(members, args.window, [float(f) for f in freqs])
+        value = weyl_defect_window(members, args.window, args.freqs.split(","))
         print(f"weyl defect: {value!r} (window {args.window}, |A| = {len(set(members))})")
         return 0
     if args.group is None or args.A is None:

@@ -1,8 +1,12 @@
 """Characters, transforms and equidistribution defects.
 
-The only module that touches floating point.  Transform cross-checks in the
-test suite use an absolute tolerance of 1e-9; defect assertions that are
-exact in theory use 1e-12.
+The only module that touches floating point, and so the one place where an
+exact number becomes a float.  Transform weights are numbers a complex
+holds.  A Weyl frequency is a float as given, or an exact rational that is
+tested in (0, 1) and then rounded once; a Weyl member is an integer below
+2**53, where every integer is a float.  Transform cross-checks in the test
+suite use an absolute tolerance of 1e-9; defect assertions that are exact
+in theory use 1e-12.
 
 Characters of a product of cyclic groups are indexed by the same mixed
 radix as the elements: chi(g) = exp(2*pi*i * sum_j chi_j g_j / n_j).  The
@@ -15,11 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Number
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteSet, GroupSpec, collection, exact_int
+from .groups import FiniteSet, GroupSpec, collection, exact_int, parse_fraction
 
 __all__ = [
     "char_value",
@@ -41,8 +46,23 @@ def char_value(group: GroupSpec, chi: int, g: int) -> complex:
     return cmath.exp(2j * cmath.pi * phase)
 
 
+def _weight(w) -> complex:
+    if isinstance(w, Number) and not isinstance(w, bool):
+        try:
+            return complex(w)
+        except OverflowError:
+            pass
+    raise ValueError(f"weights must be numbers a complex holds, got {w!r}")
+
+
 def _as_vector(group: GroupSpec, weights: Sequence[float]) -> np.ndarray:
-    vec = np.asarray(weights, dtype=complex)
+    """The weights as a complex vector: a numeric numpy array in one
+    conversion, anything else entry by entry, refusing bools, strings, None
+    and numbers too large for a float."""
+    if isinstance(weights, np.ndarray) and weights.dtype.kind in "iufc":
+        vec = np.asarray(weights, dtype=complex)
+    else:
+        vec = np.array([_weight(w) for w in collection(weights, "weights")], dtype=complex)
     if vec.shape != (group.cardinality,):
         raise ValueError(
             f"weight vector has shape {vec.shape}, expected ({group.cardinality},)"
@@ -103,9 +123,9 @@ def equidist_defect(A: FiniteSet, include_magnitudes: bool = False) -> EquidistR
     if A.mask == 0:
         raise ValueError("defect of the empty set is undefined")
     group = A.group
-    indicator = np.zeros(group.cardinality)
-    for a in A:
-        indicator[a] = 1.0
+    n = group.cardinality
+    indicator = np.unpackbits(np.frombuffer(A.mask.to_bytes((n + 7) // 8, "little"), np.uint8),
+                              count=n, bitorder="little")
     transform = group_dft(group, indicator)
     mags = np.abs(transform) / A.size
     # The trivial group has no non-trivial character; its defect is 0.
@@ -118,10 +138,35 @@ def equidist_defect(A: FiniteSet, include_magnitudes: bool = False) -> EquidistR
     )
 
 
-def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[float]) -> float:
+# Below 2**53 every integer is a float; past it a member would be rounded.
+_FLOAT_EXACT = 2**53
+
+
+def _frequency(f) -> float:
+    """A float as a Python float; any other number is read by
+    ``parse_fraction``, tested in (0, 1) exactly and rounded once.  Either
+    way the float must lie in (0, 1), which nan does not."""
+    if isinstance(f, (float, np.floating)):
+        value = float(f)
+        if not 0 < value < 1:
+            raise ValueError(f"frequency {f!r} does not lie strictly between 0 and 1 as a float")
+        return value
+    exact = parse_fraction(f)
+    if not 0 < exact < 1:
+        raise ValueError(f"frequency {exact} does not lie strictly between 0 and 1")
+    value = float(exact)
+    if not 0 < value < 1:
+        raise ValueError(f"frequency {exact} rounds to {value} as a float")
+    return value
+
+
+def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable) -> float:
     """max over the frequency grid of |sum_{a in A} e^{2 pi i a alpha}| / |A|.
 
-    A must be a non-empty subset of [0, window).  An empirical measurement:
+    A must be a non-empty subset of [0, window), each member below 2**53 so
+    that its float is exact.  Each frequency is a float, or an exact rational
+    (a Fraction, an integer or a "p/q" or decimal string) that is tested in
+    (0, 1) and then rounded to the nearest float.  An empirical measurement:
     the grid stands in for the full circle, so the value is a float, not a
     certificate.
     """
@@ -131,15 +176,12 @@ def weyl_defect_window(A: Iterable[int], window: int, frequencies: Iterable[floa
         raise ValueError("Weyl defect of the empty set is undefined")
     if members[0] < 0 or members[-1] >= window:
         raise ValueError(f"set members must lie in [0, {window})")
-    try:  # members is rebound, so the list is freed before the frequency rows
-        members = np.asarray(members, dtype=float)
-        freqs = np.asarray(list(collection(frequencies, "frequencies")), dtype=float)
-    except OverflowError:
-        raise ValueError("members and frequencies must be below 2**1024 in size") from None
-    if freqs.size == 0:
+    if members[-1] >= _FLOAT_EXACT:
+        raise ValueError("set members must be below 2**53, where a float holds every integer")
+    freqs = [_frequency(f) for f in collection(frequencies, "frequencies")]
+    if not freqs:
         raise ValueError("frequency grid must be non-empty")
-    if np.any(freqs <= 0) or np.any(freqs >= 1):
-        raise ValueError("frequencies must lie strictly between 0 and 1")
+    members = np.asarray(members, dtype=float)  # rebound, so the list is freed
     # One frequency row at a time, so memory stays at one row of the members.
     sums = [np.exp(2j * np.pi * (f * members)).sum() for f in freqs]
     return float(np.abs(sums).max() / members.size)

@@ -43,6 +43,7 @@ from .groups import (
 )
 from .magnification import first_subset_within, mag_ratio, mag_ratio_delta, mag_ratio_oracle
 from .systems import (
+    MAX_STATES,
     ActionSystem,
     StateSubset,
     apply_set,
@@ -637,7 +638,9 @@ def check_oracle_equivalence(sys: ActionSystem, A: FiniteSet, B: StateSubset,
 # campaign
 # ---------------------------------------------------------------------------
 
-# The k, delta and eps values the drivers draw from; a report's config echoes them.
+# The shared k, delta and eps lists, which a report's config echoes.  Some drivers
+# draw elsewhere: cor2 takes k from 1..5, petridis2 k from 0..3 and eps from its
+# own four values, petridis adds eps = 0, 1/2 and 1, and prop13 takes k from {1, 2}.
 K_VALUES = (1, 2, 3, 4)
 DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 EPSILONS = (Fraction(1, 100), Fraction(1, 10))
@@ -935,6 +938,8 @@ class CampaignConfig:
             raise ValueError("instance count must be >= 0")
         if self.max_order < 2:
             raise ValueError("max_order must be >= 2")
+        if self.max_order > MAX_STATES // 2:  # a union of two quotients has 2 * max_order states
+            raise ValueError(f"max_order must be <= {MAX_STATES // 2}, got {self.max_order}")
         if self.max_set < 1:
             raise ValueError("max_set must be >= 1")
         object.__setattr__(self, "checks", checks)

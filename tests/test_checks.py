@@ -46,6 +46,7 @@ from sumsetlab import (
 from sumsetlab import verify
 from sumsetlab.groups import frac_str, negate
 from sumsetlab.systems import (
+    MAX_STATES,
     StateSubset,
     apply_set,
     clear_system_memo,
@@ -705,6 +706,10 @@ def test_campaign_rejects_unknown_check():
         with pytest.raises(ValueError, match="max_set must be >= 1"):
             CampaignConfig(max_set=bad)
     assert CampaignConfig(max_set=1).max_set == 1
+    # A campaign's union of two quotients has up to 2 * max_order states.
+    assert CampaignConfig(max_order=MAX_STATES // 2).max_order == 32768
+    with pytest.raises(ValueError, match="max_order must be <= 32768, got 32769"):
+        CampaignConfig(max_order=32769)
 
 
 @pytest.mark.parametrize("field, echoed", [
@@ -713,8 +718,9 @@ def test_campaign_rejects_unknown_check():
     ("epsilons", ["1/100", "1/10"]),
 ])
 def test_campaign_k_delta_eps_are_fixed_and_echoed(field, echoed):
-    # Every campaign draws k, delta and epsilon from fixed lists: the config
-    # takes no such keyword, and its JSON still names the lists in use.
+    # k, delta and epsilon come from fixed lists: the config takes no such
+    # keyword, and its JSON names the shared lists.  Some drivers draw from
+    # their own (see the comment above verify.K_VALUES).
     assert CampaignConfig(seed=7, instances=3).to_json()[field] == echoed
     with pytest.raises(TypeError):
         CampaignConfig(**{field: echoed})

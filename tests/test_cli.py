@@ -254,6 +254,19 @@ def test_verify_rejects_nonpositive_max_set(capsys, tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("max_order", ["100000", "20000000"])
+def test_verify_refuses_max_order_before_the_campaign(capsys, tmp_path, max_order):
+    # A union of two quotients of order max_order would pass MAX_STATES partway
+    # through the run; the config refuses it before any instance is drawn.
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--max-order", max_order, "--instances", "3",
+                       "--out", str(tmp_path / "r.json"))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"max_order must be <= 32768, got {max_order}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert _build_parser() is _build_parser()
     first = run(capsys, "sumset", "--group", "8", "--A", "0,1", "--B", "0,4")

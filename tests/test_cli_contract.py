@@ -194,6 +194,18 @@ def test_spectral_input_no_float_holds_exits_2(argv):
     assert "error:" in err.getvalue()
 
 
+@pytest.mark.parametrize("freq, rounded", [
+    (f"1/{HUGE}", "0.0"),
+    ("99999999999999999999/100000000000000000000", "1.0"),
+], ids=["near 0", "near 1"])
+def test_a_frequency_whose_float_leaves_the_interval_exits_2(freq, rounded):
+    # The frequency lies in (0, 1) exactly; the refusal names the rounding.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["equidist", "--window", "10", "--A", "1,2", "--freqs", freq]) == 2
+    assert err.getvalue().startswith(f"error: frequency {freq} rounds to {rounded} as a float")
+
+
 def test_the_alarm_interrupts_a_hang():
     with pytest.raises(ExampleTimeout, match="ran past 1 s"):
         with alarm(1, "the loop"):

@@ -24,11 +24,6 @@ NUMPY_FLOAT = {"float16", "float32", "float64", "float128", "longdouble", "doubl
                "single", "half", "floating", "float_"}
 DTYPE_STRINGS = {"float", "float16", "float32", "float64", "float128", "f2", "f4", "f8",
                  "double", "longdouble"}
-# (file, enclosing function, name) -> why the float is allowed there
-ALLOWED = {
-    ("cli.py", "cmd_equidist", "float"):
-        "frequencies go to spectral.weyl_defect_window, which is float by design",
-}
 # Modules whose integer arguments pass ``exact_int``; magnification, spectral and
 # cli convert numpy results and command-line text, which are not arguments.
 INT_MODULES = ("groups.py", "systems.py", "zline.py", "orbits.py", "verify.py")
@@ -76,17 +71,8 @@ def test_no_float_outside_the_spectral_module():
         if path.name in FLOAT_MODULES:
             continue
         for function, what, line in _float_uses(ast.parse(path.read_text())):
-            if (path.name, function, what) not in ALLOWED:
-                found.append(f"{path.name}:{line} in {function}: {what}")
+            found.append(f"{path.name}:{line} in {function}: {what}")
     assert found == []
-
-
-def test_every_allowed_float_is_still_there():
-    # A stale entry would silently admit a float that a later change adds.
-    seen = set()
-    for path in sorted(SRC.glob("*.py")):
-        seen |= {(path.name, fn, what) for fn, what, _ in _float_uses(ast.parse(path.read_text()))}
-    assert set(ALLOWED) <= seen
 
 
 def test_the_lint_sees_each_kind_of_float():

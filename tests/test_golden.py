@@ -194,3 +194,88 @@ def test_sumset_of_two_descriptors(capsys, tmp_path):
     assert capsys.readouterr().out == (
         '{"head": {"hi": 5, "lo": 5, "members": []}, "left": {"pattern": [0], "period": 3}, '
         '"right": {"pattern": [0], "period": 1}}\nupper density: 1/1\nlower density: 1/3\n')
+
+
+Z12 = make_group([12])
+HALVES = quotient_system(make_group([24]), [12])
+BOTH = ('{"degenerate": false, "mu_side": "both", "nu_side": "both", "relations": ['
+        '{"holds": true, "lhs": "1/3", "name": "upper density of S equals mu(B)", '
+        '"op": "==", "rhs": "1/3"}, {"holds": true, "lhs": "1/3", "name": '
+        '"lower density of S below nu(B)", "op": "<=", "rhs": "1/3"}, {"holds": true, '
+        '"lhs": "2/3", "name": "upper density of A+S dominates mu(A.B)", "op": ">=", '
+        '"rhs": "2/3"}, {"holds": true, "lhs": "2/3", "name": "lower density of A+S '
+        'dominates nu(A.B)", "op": ">=", "rhs": "2/3"}]}')
+
+
+def _tails(left, right):
+    return {"head": {"lo": 0, "hi": 0, "members": []}, "left": left, "right": right}
+
+
+# (input files, argv, exit code, the line pinned, its text).  "first" and
+# "last" are lines of stdout; "report" pins that verify writes one line of
+# JSON.  Inputs are written to the working directory.
+CONSOLE_PINS = {
+    # A union system read from JSON: the cold system_from_json route.
+    "magratio union": (
+        {"u.json": system_to_json(disjoint_union(quotient_system(Z12, [6]),
+                                                 quotient_system(Z12, [4]), Fraction(1, 3)))},
+        "magratio --system u.json --A 0,1,5 --B 0,2,3,7,8 --json", 0, "last",
+        '{"edges": 27, "iterations": 2, "method": "flow", "nodes": 16, "value": "3/2", '
+        '"witness": [7, 8]}'),
+    # The delta enumerator on 17 candidates, past one block of 2^14 subsets, on
+    # two halves whose states weigh 1 and 2.
+    "magratio delta": (
+        {"h.json": system_to_json(disjoint_union(HALVES, HALVES, Fraction(1, 3)))},
+        "magratio --system h.json --A 0,1,5 --B 0,1,2,4,5,7,8,10,11,13,14,15,17,19,20,22,23 "
+        "--delta 1/3 --json", 0, "last",
+        '{"edges": 0, "iterations": 131071, "method": "enumeration", "nodes": 0, '
+        '"value": "4/3", "witness": [0, 1, 2, 4, 5, 7, 8, 10, 11]}'),
+    # A right-tailed set plus a left-tailed one.
+    "sumset tails": (
+        {"za.json": {"head": {"lo": 0, "hi": 5, "members": [0, 3]}, "left": None,
+                     "right": {"period": 12, "pattern": [1]}},
+         "zb.json": {"head": {"lo": -2, "hi": 2, "members": [-2, 1]},
+                     "left": {"period": 8, "pattern": [3]}, "right": None}},
+        "sumset --zdesc-a za.json --zdesc-b zb.json", 0, "first",
+        '{"head": {"hi": 3, "lo": 1, "members": [1]}, "left": {"pattern": [0, 3, 4, 6], '
+        '"period": 8}, "right": {"pattern": [0, 2, 4, 8, 11], "period": 12}}'),
+    # An empty head and unequal tails: zsumset's trim keeps no point of its core
+    # and zdesc slides the boundary down to where the tails disagree.
+    "sumset slide": (
+        {"zc.json": {"head": {"lo": -1, "hi": 1, "members": [-1]}, "left": None,
+                     "right": {"period": 6, "pattern": [0]}},
+         "zd.json": _tails({"period": 4, "pattern": [3]}, None)},
+        "sumset --zdesc-a zc.json --zdesc-b zd.json", 0, "first",
+        '{"head": {"hi": -1, "lo": -1, "members": []}, "left": {"pattern": [1, 2, 3], '
+        '"period": 4}, "right": {"pattern": [1], "period": 2}}'),
+    # A periodic set is one "both" orbit, and so are tails whose masks are
+    # rotations of each other; 6:{0,1} and 6:{0,2} are two orbits.
+    "correspond periodic": ({}, "correspond --period 6 --pattern 0,1 --A 0,3 --json", 0,
+                            "last", BOTH),
+    "correspond rotation": (
+        {"zrot.json": _tails({"period": 6, "pattern": [0, 1]}, {"period": 6, "pattern": [3, 4]})},
+        "correspond --desc zrot.json --A 0,3 --json", 0, "last", BOTH),
+    "correspond two orbits": (
+        {"ztwo.json": _tails({"period": 6, "pattern": [0, 1]}, {"period": 6, "pattern": [0, 2]})},
+        "correspond --desc ztwo.json --A 0,3 --json", 0, "last",
+        BOTH.replace('"mu_side": "both", "nu_side": "both"', '"mu_side": "left", "nu_side": "left"')),
+    "density period 0": ({}, "density --period 0 --pattern 0", 2, None, None),
+    "verify report": ({}, "verify --seed 1 --instances 2 --out report.json", 0, "report", None),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, where, pinned", CONSOLE_PINS.values(),
+                         ids=CONSOLE_PINS.keys())
+def test_console_script_pins(capsys, tmp_path, monkeypatch, files, argv, code, where, pinned):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") == (code == 2)
+    if where == "report":
+        lines = (tmp_path / "report.json").read_text().splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0])
+    elif where is not None:
+        assert out.splitlines()[0 if where == "first" else -1] == pinned

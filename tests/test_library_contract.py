@@ -52,6 +52,8 @@ from sumsetlab import (
     finite_set,
     floor_three_halves,
     full_states,
+    group_dft,
+    group_dft_naive,
     is_ergodic_basis,
     iterated_sumset,
     mag_ratio_delta,
@@ -261,6 +263,8 @@ COLLECTION_SITES = [
     ("periodic pattern", [0], lambda v: periodic(3, v)),
     ("finite members", [0, 5], lambda v: finite(v)),
     ("verify_correspondence A", [0, 1], lambda v: verify_correspondence(S, v)),
+    ("group_dft weights", [1, 0], lambda v: group_dft(Z2, v)),
+    ("group_dft_naive weights", [1, 0], lambda v: group_dft_naive(Z2, v)),
     ("weyl_defect_window members", [0, 3], lambda v: weyl_defect_window(v, 8, [0.25])),
     ("weyl_defect_window frequencies", [0.25], lambda v: weyl_defect_window([0], 8, v)),
     ("LevelProfile sets", [B], lambda v: LevelProfile(R8, v, (Fraction(1, 2),))),
@@ -290,6 +294,27 @@ def test_every_collection_argument_refuses_scalars_strings_and_mappings(name, va
 HUGE = 10**400  # beyond any float
 
 
+@pytest.mark.parametrize("transform", [group_dft, group_dft_naive])
+@pytest.mark.parametrize("weights", [
+    [HUGE, 0],
+    [Fraction(HUGE), 0],
+    [None, 1],
+    [True, False],
+    ["1", "2"],
+    np.array([True, False]),
+    np.array(["1", "2"]),
+], ids=["huge", "huge fraction", "none", "bools", "strings", "bool array", "string array"])
+def test_transforms_refuse_what_no_complex_holds(transform, weights):
+    with pytest.raises(ValueError, match="weights must be numbers a complex holds"):
+        transform(Z2, weights)
+
+
+@pytest.mark.parametrize("transform", [group_dft, group_dft_naive])
+def test_transforms_read_a_list_as_the_array_it_equals(transform):
+    for weights in ([1.5, -2], [np.int64(3), Fraction(1, 2)], [1j, 2]):
+        assert np.array_equal(transform(Z2, weights), transform(Z2, np.array(weights, complex)))
+
+
 @pytest.mark.parametrize("members, window, frequencies", [
     ([HUGE], 10 * HUGE, [0.5]),
     ([2**1024], 2**1025, [0.5]),
@@ -302,8 +327,34 @@ def test_weyl_defect_window_refuses_what_no_float_holds(members, window, frequen
         weyl_defect_window(members, window, frequencies)
 
 
+@pytest.mark.parametrize("members, frequencies, cause", [
+    ([0, 3], [None], "not a rational p/q: None"),
+    ([0, 3], [float("nan")], "frequency nan does not lie strictly between 0 and 1 as a float"),
+    ([0, 3], [f"1/{HUGE}"], "rounds to 0.0 as a float"),
+    ([0, 3], ["99999999999999999999/100000000000000000000"], "rounds to 1.0 as a float"),
+    ([2**53], [0.5], "below 2**53"),
+    ([2**53 + 1, 0], [0.5], "below 2**53"),
+    ([0, 2**1023], [0.5], "below 2**53"),
+], ids=["none", "nan", "rounds to 0", "rounds to 1", "2**53", "2**53 + 1", "2**1023"])
+def test_weyl_defect_window_refusals_name_their_cause(members, frequencies, cause):
+    # A member at or above 2**53 would be rounded, and nan is no frequency.
+    with pytest.raises(ValueError) as refused:
+        weyl_defect_window(members, 10**401, frequencies)
+    assert cause in str(refused.value)
+
+
 def test_weyl_defect_window_reads_members_below_a_window_no_float_holds():
     assert weyl_defect_window([1], 10 * HUGE, [0.5]) == 1.0
+    assert weyl_defect_window([2**53 - 1], 2**53, [0.5]) == 1.0
+
+
+def test_weyl_defect_window_rounds_an_exact_frequency_once():
+    # A Fraction, a "p/q" or decimal string and a numpy float give the float
+    # that stands for them.
+    for exact, rounded in [(Fraction(1, 3), 1 / 3), ("2/7", 2 / 7), ("0.1", 0.1),
+                           (np.float32(0.1), float(np.float32(0.1)))]:
+        assert weyl_defect_window([0, 3, 5], 8, [exact]) == \
+            weyl_defect_window([0, 3, 5], 8, [rounded])
 
 
 @pytest.mark.parametrize("lo, hi, head, left, right", [

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,7 +252,8 @@ def test_weyl_validation():
 
 def test_weyl_rows_equal_the_matrix_form_bit_for_bit():
     # The frequency-by-member matrix, summed along its rows, as the transform
-    # once computed it; the per-row loop must give the same float.
+    # once computed it; the per-row loop must give the same float, and so must
+    # each frequency passed as the exact Fraction it was drawn from.
     rng = random.Random(2026)
     for case in range(40):
         window = rng.randint(1, 10**6)
@@ -259,10 +261,13 @@ def test_weyl_rows_equal_the_matrix_form_bit_for_bit():
             members = floor_three_halves(window)
         else:
             members = rng.sample(range(window), rng.randint(1, min(window, 3000)))
-        freqs = [rng.randint(1, 10**6 - 1) / 10**6 for _ in range(rng.randint(1, 12))]
+        ks = [rng.randint(1, 10**6 - 1) for _ in range(rng.randint(1, 12))]
+        freqs = [k / 10**6 for k in ks]
         arr = np.asarray(sorted(set(members)), dtype=float)
         sums = np.exp(2j * np.pi * np.outer(np.asarray(freqs, dtype=float), arr)).sum(axis=1)
-        assert weyl_defect_window(members, window, freqs) == float(np.abs(sums).max() / arr.size)
+        expected = float(np.abs(sums).max() / arr.size)
+        assert weyl_defect_window(members, window, freqs) == expected
+        assert weyl_defect_window(members, window, [Fraction(k, 10**6) for k in ks]) == expected
 
 
 def test_power_sequence_defect_decays_with_window():
